@@ -182,6 +182,16 @@ if ! cargo test -q -p automotive-cps --test zero_alloc -- --list \
     exit 1
 fi
 
+# The dense FlexRay bus is pinned call for call to the reference model kept
+# under cfg(test) in crates/flexray/src/bus/reference.rs; every campaign and
+# the golden fixture rest on that equivalence, so its proptest must stay
+# collected.
+step "bus reference-equivalence proptest is collected (cps-flexray)"
+if ! cargo test -q -p cps-flexray -- --list | grep "reference.*: test" > /dev/null; then
+    echo "ERROR: the cps-flexray reference-equivalence proptest was skipped or is empty" >&2
+    exit 1
+fi
+
 # The batched-equivalence suite carries the lane-batched stepping's
 # bit-identity contract (kernel, campaign and scenario layers); same
 # reasoning, same gate.

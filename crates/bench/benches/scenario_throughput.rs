@@ -5,9 +5,13 @@
 //! Each scenario is a full plant/runtime/FlexRay co-simulation of the
 //! six-application derived fleet with a scaled disturbance. The engine pays
 //! the fleet-design and bus-construction cost once per worker and then
-//! `reset()`s-and-reruns, so throughput is dominated by the allocation-free
-//! kernel steps. Scaling is near-linear in cores; on a single-core host the
-//! thread counts merely demonstrate determinism.
+//! `reset()`s-and-reruns, so throughput is set by the per-period work. The
+//! benchmark's traced `campaign_faulty` replay (seed 1, 2-vCPU Xeon) splits
+//! a 20 ms control period into the FlexRay bus at ~60% (4 cycles of 10
+//! static slots plus the dynamic segment, with frame reassignment and
+//! queueing), the six `StepKernel` steps and norms at ~30% and the
+//! allocation runtime at ~10%. Scaling is near-linear in cores; on a
+//! single-core host the thread counts merely demonstrate determinism.
 
 use cps_core::{case_study, ScenarioBatch, ScenarioSpec};
 use cps_flexray::FlexRayConfig;

@@ -10,6 +10,15 @@
 //! produces the time-varying ET latency the paper contrasts with the
 //! deterministic TT latency.
 //!
+//! The bus state is a set of dense tables indexed by frame position: frames
+//! are kept sorted by identifier (which is the dynamic arbitration order),
+//! each frame has at most one pending payload (`queue_message` replaces a
+//! stale one) and its own loss counter, and every static slot records the
+//! position of its owner. A cycle is therefore one pass over the slot table
+//! and one pass over the frames, with no searching, sorting or scratch
+//! buffers. A `BTreeMap`-based simulator with the same semantics lives in
+//! the test-only `reference` module and pins this one call for call.
+//!
 //! A seeded [`FaultModel`] can be installed with
 //! [`FlexRayBus::set_fault_model`]: transmission attempts are then routed
 //! through a deterministic drop/burst/corruption layer and the dynamic
@@ -22,14 +31,9 @@ use crate::error::{FlexRayError, Result};
 use crate::fault::FaultModel;
 use crate::frame::{Frame, Segment, Transmission};
 use crate::rng::SimRng;
-use std::collections::BTreeMap;
 
-/// A queued, not yet transmitted payload.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct PendingTransmission {
-    frame_id: u32,
-    queued_at: f64,
-}
+#[cfg(test)]
+mod reference;
 
 /// Counters describing bus usage, updated as the simulation advances.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -69,8 +73,15 @@ impl BusStatistics {
 #[derive(Debug, Clone)]
 pub struct FlexRayBus {
     config: FlexRayConfig,
-    frames: BTreeMap<u32, Frame>,
-    pending: Vec<PendingTransmission>,
+    /// Registered frames sorted by identifier — the dynamic segment's
+    /// arbitration order. `queued_at` and `losses` are indexed alike.
+    frames: Vec<Frame>,
+    /// Queueing instant of each frame's pending payload, if any.
+    queued_at: Vec<Option<f64>>,
+    /// Transmission attempts of each frame lost to the fault layer.
+    losses: Vec<u64>,
+    /// Index into `frames` of each static slot's owner.
+    slot_owner: Vec<Option<usize>>,
     log: Vec<Transmission>,
     statistics: BusStatistics,
     completed_cycles: u64,
@@ -81,15 +92,14 @@ pub struct FlexRayBus {
     fault_rng: SimRng,
     /// Current Gilbert–Elliott channel state (`true` = bad/bursty).
     burst_bad: bool,
-    /// Per-frame lost-transmission counters, filled at registration; linear
-    /// search keeps the hot path allocation- and hash-free (fleets register
-    /// a handful of frames).
-    frame_losses: Vec<(u32, u64)>,
     /// Whether completed transmissions are appended to the log. Streaming
     /// campaigns disable this so a long run stays O(1) in memory.
     logging: bool,
-    /// Reusable scratch for the dynamic-segment arbitration order.
-    dynamic_scratch: Vec<PendingTransmission>,
+}
+
+#[cold]
+fn unregistered(frame_id: u32) -> FlexRayError {
+    FlexRayError::InvalidFrame { reason: format!("frame id {frame_id} is not registered") }
 }
 
 impl FlexRayBus {
@@ -103,17 +113,17 @@ impl FlexRayBus {
         config.validate()?;
         Ok(FlexRayBus {
             config,
-            frames: BTreeMap::new(),
-            pending: Vec::new(),
+            frames: Vec::new(),
+            queued_at: Vec::new(),
+            losses: Vec::new(),
+            slot_owner: vec![None; config.static_slot_count],
             log: Vec::new(),
             statistics: BusStatistics::default(),
             completed_cycles: 0,
             fault: None,
             fault_rng: SimRng::seeded(0),
             burst_bad: false,
-            frame_losses: Vec::new(),
             logging: true,
-            dynamic_scratch: Vec::new(),
         })
     }
 
@@ -172,14 +182,21 @@ impl FlexRayBus {
         self.logging
     }
 
+    /// Position of `frame_id` in the frame tables, if registered. Fleets
+    /// number their frames `1..=n`, so the dense position is tried first.
+    fn index_of(&self, frame_id: u32) -> Option<usize> {
+        let dense = (frame_id as usize).wrapping_sub(1);
+        match self.frames.get(dense) {
+            Some(frame) if frame.id == frame_id => Some(dense),
+            _ => self.frames.binary_search_by_key(&frame_id, |f| f.id).ok(),
+        }
+    }
+
     /// Number of transmission attempts of `frame_id` lost to the fault layer
     /// (drops plus detected corruptions) since the last reset.
+    #[inline]
     pub fn losses_of(&self, frame_id: u32) -> u64 {
-        self.frame_losses
-            .iter()
-            .find(|(id, _)| *id == frame_id)
-            .map(|(_, losses)| *losses)
-            .unwrap_or(0)
+        self.index_of(frame_id).map_or(0, |index| self.losses[index])
     }
 
     /// Registers a frame on the bus.
@@ -191,11 +208,11 @@ impl FlexRayBus {
     /// is already owned by another frame, or the frame needs more minislots
     /// than the dynamic segment offers.
     pub fn register_frame(&mut self, frame: Frame) -> Result<()> {
-        if self.frames.contains_key(&frame.id) {
+        let Err(index) = self.frames.binary_search_by_key(&frame.id, |f| f.id) else {
             return Err(FlexRayError::InvalidFrame {
                 reason: format!("frame id {} is already registered", frame.id),
             });
-        }
+        };
         if frame.dynamic_minislots > self.config.minislot_count {
             return Err(FlexRayError::InvalidFrame {
                 reason: format!(
@@ -207,21 +224,30 @@ impl FlexRayBus {
         if let Segment::Static { slot } = frame.segment {
             self.validate_static_assignment(frame.id, slot)?;
         }
-        self.frame_losses.push((frame.id, 0));
-        self.frames.insert(frame.id, frame);
+        // Frames above the insertion point move up one position.
+        for owner in self.slot_owner.iter_mut().flatten() {
+            if *owner >= index {
+                *owner += 1;
+            }
+        }
+        if let Segment::Static { slot } = frame.segment {
+            self.slot_owner[slot] = Some(index);
+        }
+        self.frames.insert(index, frame);
+        self.queued_at.insert(index, None);
+        self.losses.insert(index, 0);
         Ok(())
     }
 
     fn validate_static_assignment(&self, frame_id: u32, slot: usize) -> Result<()> {
         self.config.static_slot_start(slot)?;
-        if let Some(owner) = self
-            .frames
-            .values()
-            .find(|f| f.id != frame_id && f.segment == Segment::Static { slot })
-        {
-            return Err(FlexRayError::InvalidFrame {
-                reason: format!("static slot {slot} is already owned by frame {}", owner.id),
-            });
+        if let Some(&Some(owner)) = self.slot_owner.get(slot) {
+            let owner_id = self.frames[owner].id;
+            if owner_id != frame_id {
+                return Err(FlexRayError::InvalidFrame {
+                    reason: format!("static slot {slot} is already owned by frame {owner_id}"),
+                });
+            }
         }
         Ok(())
     }
@@ -235,24 +261,29 @@ impl FlexRayBus {
     ///
     /// Returns [`FlexRayError::InvalidFrame`] if the frame is unknown or the
     /// requested static slot is invalid or occupied.
+    #[inline]
     pub fn reassign_frame(&mut self, frame_id: u32, segment: Segment) -> Result<()> {
-        if !self.frames.contains_key(&frame_id) {
-            return Err(FlexRayError::InvalidFrame {
-                reason: format!("frame id {frame_id} is not registered"),
-            });
+        let index = self.index_of(frame_id).ok_or_else(|| unregistered(frame_id))?;
+        if self.frames[index].segment == segment {
+            // A registered frame's own slot always validates.
+            return Ok(());
         }
         if let Segment::Static { slot } = segment {
             self.validate_static_assignment(frame_id, slot)?;
         }
-        if let Some(frame) = self.frames.get_mut(&frame_id) {
-            frame.segment = segment;
+        if let Segment::Static { slot } = self.frames[index].segment {
+            self.slot_owner[slot] = None;
         }
+        if let Segment::Static { slot } = segment {
+            self.slot_owner[slot] = Some(index);
+        }
+        self.frames[index].segment = segment;
         Ok(())
     }
 
     /// Returns the frame registered under `frame_id`, if any.
     pub fn frame(&self, frame_id: u32) -> Option<&Frame> {
-        self.frames.get(&frame_id)
+        self.index_of(frame_id).map(|index| &self.frames[index])
     }
 
     /// Queues a payload of `frame_id` for transmission at time `queued_at`.
@@ -263,21 +294,18 @@ impl FlexRayBus {
     /// # Errors
     ///
     /// Returns [`FlexRayError::InvalidFrame`] if the frame is unknown.
+    #[inline]
     pub fn queue_message(&mut self, frame_id: u32, queued_at: f64) -> Result<()> {
-        if !self.frames.contains_key(&frame_id) {
-            return Err(FlexRayError::InvalidFrame {
-                reason: format!("frame id {frame_id} is not registered"),
-            });
-        }
-        self.pending.retain(|p| p.frame_id != frame_id);
-        self.pending.push(PendingTransmission { frame_id, queued_at });
+        let index = self.index_of(frame_id).ok_or_else(|| unregistered(frame_id))?;
+        self.queued_at[index] = Some(queued_at);
         Ok(())
     }
 
-    /// Routes one transmission attempt through the fault layer. Returns
-    /// `true` if the payload arrives intact; losses bump the statistics and
-    /// the per-frame counter. See [`crate::fault`] for the draw order.
-    fn transmission_survives(&mut self, frame_id: u32) -> bool {
+    /// Routes one transmission attempt of the frame at `index` through the
+    /// fault layer. Returns `true` if the payload arrives intact; losses bump
+    /// the statistics and the per-frame counter. See [`crate::fault`] for the
+    /// draw order.
+    fn transmission_survives(&mut self, index: usize) -> bool {
         let Some(model) = self.fault else {
             return true;
         };
@@ -297,75 +325,64 @@ impl FlexRayBus {
         };
         if self.fault_rng.next_unit() < drop_probability {
             self.statistics.dropped_frames += 1;
-            self.record_loss(frame_id);
+            self.losses[index] += 1;
             return false;
         }
         if self.fault_rng.next_unit() < model.corruption_probability {
             self.statistics.corrupted_frames += 1;
-            self.record_loss(frame_id);
+            self.losses[index] += 1;
             return false;
         }
         true
     }
 
-    fn record_loss(&mut self, frame_id: u32) {
-        if let Some(entry) = self.frame_losses.iter_mut().find(|(id, _)| *id == frame_id) {
-            entry.1 += 1;
+    /// Records a completed transmission in the log (when logging) and in
+    /// `out` (when given).
+    fn deliver(&mut self, tx: Transmission, out: Option<&mut Vec<Transmission>>) {
+        if self.logging {
+            self.log.push(tx);
+        }
+        if let Some(sink) = out {
+            sink.push(tx);
         }
     }
 
     /// Simulates one full communication cycle; completed transmissions go to
-    /// the log (when logging) and to `out` (when given). Allocation-free:
-    /// the arbitration order lives in a reusable scratch buffer.
+    /// the log (when logging) and to `out` (when given). Allocation-free
+    /// apart from those two sinks.
     fn cycle_into(&mut self, mut out: Option<&mut Vec<Transmission>>) {
         let cycle_start = self.time();
 
         // Static (TT) segment: each slot carries its owner's payload if one
         // was queued before the slot begins. A lost payload still consumed
         // its slot (the wire was busy), so the TDMA timetable is unaffected.
-        for slot in 0..self.config.static_slot_count {
-            let slot_start = cycle_start
-                + self.config.static_slot_start(slot).expect("slot index within configured range");
-            let owner = self
-                .frames
-                .values()
-                .find(|f| f.segment == Segment::Static { slot })
-                .map(|f| f.id);
-            let Some(owner_id) = owner else {
+        for slot in 0..self.slot_owner.len() {
+            let Some(index) = self.slot_owner[slot] else {
                 continue;
             };
-            let ready = self
-                .pending
-                .iter()
-                .position(|p| p.frame_id == owner_id && p.queued_at <= slot_start);
-            match ready {
-                Some(index) => {
-                    let request = self.pending.remove(index);
-                    if self.transmission_survives(owner_id) {
+            let slot_start = cycle_start + slot as f64 * self.config.static_slot_length;
+            match self.queued_at[index] {
+                Some(queued_at) if queued_at <= slot_start => {
+                    self.queued_at[index] = None;
+                    if self.transmission_survives(index) {
                         let tx = Transmission {
-                            frame_id: owner_id,
-                            queued_at: request.queued_at,
+                            frame_id: self.frames[index].id,
+                            queued_at,
                             completed_at: slot_start + self.config.static_slot_length,
                             used_static_slot: true,
                         };
                         self.statistics.static_transmissions += 1;
-                        if self.logging {
-                            self.log.push(tx);
-                        }
-                        if let Some(sink) = out.as_deref_mut() {
-                            sink.push(tx);
-                        }
+                        self.deliver(tx, out.as_deref_mut());
                     }
                 }
-                None => {
-                    self.statistics.wasted_static_slots += 1;
-                }
+                _ => self.statistics.wasted_static_slots += 1,
             }
         }
 
         // Dynamic (ET) segment: background contention (if modelled) occupies
         // the head of the minislot budget, then pending dynamic frames
-        // arbitrate in identifier order over what is left.
+        // arbitrate in identifier order — the order of the frame table —
+        // over what is left.
         let dynamic_start = cycle_start + self.config.dynamic_segment_start();
         let mut used_minislots = 0usize;
         if let Some(contention) = self.fault.and_then(|m| m.dynamic_contention) {
@@ -376,40 +393,35 @@ impl FlexRayBus {
             used_minislots = background.min(self.config.minislot_count);
             self.statistics.background_minislots += used_minislots as u64;
         }
-        let mut ready = std::mem::take(&mut self.dynamic_scratch);
-        ready.clear();
-        ready.extend(self.pending.iter().copied().filter(|p| {
-            p.queued_at <= dynamic_start
-                && self.frames.get(&p.frame_id).map(|f| !f.is_static()).unwrap_or(false)
-        }));
-        ready.sort_by_key(|p| p.frame_id);
-        for request in &ready {
-            let minislots = self.frames[&request.frame_id].dynamic_minislots;
+        for index in 0..self.frames.len() {
+            let Some(queued_at) = self.queued_at[index] else {
+                continue;
+            };
+            let frame = &self.frames[index];
+            let ready = queued_at <= dynamic_start && !frame.is_static();
+            if !ready {
+                continue;
+            }
+            let minislots = frame.dynamic_minislots;
             if used_minislots + minislots > self.config.minislot_count {
                 // Does not fit any more: deferred to the next cycle.
                 self.statistics.deferred_dynamic_transmissions += 1;
                 continue;
             }
             used_minislots += minislots;
-            self.pending.retain(|p| p.frame_id != request.frame_id);
-            if self.transmission_survives(request.frame_id) {
+            self.queued_at[index] = None;
+            if self.transmission_survives(index) {
                 let tx = Transmission {
-                    frame_id: request.frame_id,
-                    queued_at: request.queued_at,
+                    frame_id: self.frames[index].id,
+                    queued_at,
                     completed_at: dynamic_start
                         + used_minislots as f64 * self.config.minislot_length,
                     used_static_slot: false,
                 };
                 self.statistics.dynamic_transmissions += 1;
-                if self.logging {
-                    self.log.push(tx);
-                }
-                if let Some(sink) = out.as_deref_mut() {
-                    sink.push(tx);
-                }
+                self.deliver(tx, out.as_deref_mut());
             }
         }
-        self.dynamic_scratch = ready;
 
         self.statistics.cycles += 1;
         self.completed_cycles += 1;
@@ -464,13 +476,11 @@ impl FlexRayBus {
     /// rebuilding the bus — the primitive behind `CoSimulation::reset` and
     /// the scenario/campaign engines.
     pub fn reset(&mut self) {
-        self.pending.clear();
+        self.queued_at.fill(None);
         self.log.clear();
         self.statistics = BusStatistics::default();
         self.completed_cycles = 0;
-        for entry in &mut self.frame_losses {
-            entry.1 = 0;
-        }
+        self.losses.fill(0);
         self.reseed_faults();
     }
 
