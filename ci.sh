@@ -170,6 +170,17 @@ if ! cargo test -q -p automotive-cps --test allocation_portfolio -- --list \
     exit 1
 fi
 
+# The characterisation parity suite pins the one-pass dwell/wait sweep
+# (shared ET prefix, plant-row tail bound) bit-identical to the full-horizon
+# reference curves every Table-I row is derived from; same reasoning, same
+# gate.
+step "characterisation parity suite is collected (tests/characterization_parity.rs)"
+if ! cargo test -q -p automotive-cps --test characterization_parity -- --list \
+        | grep ": test" > /dev/null; then
+    echo "ERROR: the characterization_parity suite was skipped or is empty" >&2
+    exit 1
+fi
+
 step "campaign/fault suite is collected (tests/robustness_campaign.rs, tests/zero_alloc.rs)"
 if ! cargo test -q -p automotive-cps --test robustness_campaign -- --list \
         | grep ": test" > /dev/null; then

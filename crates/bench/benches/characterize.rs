@@ -1,21 +1,29 @@
-//! Characterisation performance benchmark: the kernel-based, early-exit
-//! dwell/wait pipeline against the full-horizon reference path it replaced
-//! (the PR acceptance floor is a 5× speed-up on the kernel path).
+//! Characterisation performance benchmark: the one-pass, early-exit
+//! dwell/wait sweep against the full-horizon reference path it replaced,
+//! and the design-layer split of one fleet characterisation pass into its
+//! sweep and its model fit.
 //!
-//! Both paths produce bit-identical curves — asserted here before timing —
-//! so the comparison is purely about the cost of fixed-horizon allocating
-//! simulation versus scratch-buffer simulation with provable early exit.
+//! Both sweep paths produce bit-identical curves — asserted here before
+//! timing — so the comparison is purely about the cost of fixed-horizon,
+//! per-wait-point allocating simulation versus scratch-buffer simulation
+//! that shares the ET prefix and stops on a provable tail bound. The
+//! `derived_fleet_pass` rung times what fleet design pays per six-app
+//! fleet (sweep + fit, one thread); `fit_non_monotonic` times the fit
+//! alone on the same six curves, so the sweep's share is their difference.
 
 use cps_control::{
     characterize_dwell_vs_wait, characterize_dwell_vs_wait_reference, CharacterizationConfig,
 };
-use cps_core::{case_study, characterize_application, experiments};
+use cps_core::{
+    case_study, characterize_application, experiments, fit_non_monotonic, FleetDesigner,
+};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 fn bench(c: &mut Criterion) {
     // Linear switched loops of the case-study servo (the Figure 3 pipeline
     // without saturation), characterised over the default 3000-sample cap.
-    let app = case_study::derived_fleet().expect("fleet design").remove(2);
+    let fleet = case_study::derived_fleet().expect("fleet design");
+    let app = fleet[2].clone();
     let a1 = app.et_controller().closed_loop().clone();
     let a2 = app.tt_controller().closed_loop().clone();
     let mut initial = app.spec().disturbance.clone();
@@ -66,6 +74,23 @@ fn bench(c: &mut Criterion) {
     // implicit settling sweeps), now riding entirely on the kernel path.
     group.bench_function("application_pipeline", |b| {
         b.iter(|| black_box(characterize_application(&app).expect("curve")))
+    });
+    // The design-layer split: one six-app characterisation pass as fleet
+    // design runs it (sweep + fit per app), and the fit alone.
+    let designer = FleetDesigner::new().with_threads(1);
+    let curves: Vec<_> = fleet
+        .iter()
+        .map(|app| characterize_application(app).expect("curve"))
+        .collect();
+    group.bench_function("derived_fleet_pass", |b| {
+        b.iter(|| black_box(designer.characterize(&fleet).expect("timing table")))
+    });
+    group.bench_function("fit_non_monotonic", |b| {
+        b.iter(|| {
+            for curve in &curves {
+                black_box(fit_non_monotonic(curve).expect("fit"));
+            }
+        })
     });
     group.finish();
 }

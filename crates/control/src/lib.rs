@@ -20,16 +20,17 @@
 //!   [`design_lqr_with`], [`design_switched_pair_with`]), bit-identical to
 //!   the one-shot paths.
 //! * [`CharacterizationWorkspace`] — its characterisation-side counterpart:
-//!   a per-worker pool of switched-kernel state buffers, power-bound
-//!   matrices and saturated-sim scratch threaded through
-//!   [`characterize_dwell_vs_wait_with`] /
+//!   a per-worker pool of switched-kernel state buffers, tail-bound
+//!   matrices, saturated-sim scratch and the recorded pure-ET run threaded
+//!   through [`characterize_dwell_vs_wait_with`] /
 //!   [`SaturatedSwitchedModel::characterize_with`], so a warm worker
 //!   re-allocates no simulation scratch per application (bit-identical to
 //!   the one-shot paths).
 //! * [`response_metrics`] / [`response_time`] — settling-time metrics (ξᵀᵀ,
 //!   ξᴱᵀ).
 //! * [`characterize_dwell_vs_wait`] — the switched-system sweep behind the
-//!   non-monotonic dwell-time/wait-time relation of Figure 3.
+//!   non-monotonic dwell-time/wait-time relation of Figure 3: one pass that
+//!   resumes every wait point from the recorded pure-ET state.
 //! * [`StepKernel`] — the precompiled, allocation-free closed-loop stepper:
 //!   Φ, Γ₀, Γ₁ and the feedback gain fused into one augmented matrix per
 //!   communication mode at construction, so a step is a single in-place

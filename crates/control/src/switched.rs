@@ -14,6 +14,11 @@
 //! the TT slot until the plant-state norm is back at or below `E_th`. The
 //! paper's central observation is that this map is *not* monotone in
 //! `k_wait`.
+//!
+//! Every post-switch trajectory starts from a state of the pure-ET run,
+//! `A₁^{k_wait}·x₀`, so the characterisation sweep simulates that run once,
+//! records its states, and resumes each wait point from its switching
+//! instant instead of re-simulating the ET prefix from `x₀`.
 
 use crate::delayed::{plant_state_norm, DelayedLtiSystem};
 use crate::error::{ControlError, Result};
@@ -182,6 +187,30 @@ const POWER_BOUND_MAX_POWERS: usize = 50_000;
 ///
 /// Returns [`ControlError::InvalidModel`] if `a` is not square.
 pub fn power_norm_bound(a: &Matrix) -> Result<f64> {
+    Ok(tail_bounds(a, a.rows())?.full)
+}
+
+/// Both early-exit bounds of one closed-loop matrix `A`, from a single power
+/// iteration that stops at the first power `J` with `‖Aᴶ‖_F < 1`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct TailBounds {
+    /// `max(1, max_{1≤i≤J} ‖Aⁱ‖_F)` — the [`power_norm_bound`]: every
+    /// future augmented state, the current one included, has norm at most
+    /// `full·‖z‖`.
+    full: f64,
+    /// `max_{1≤i≤J} ‖C·Aⁱ‖_F`, where `C` selects the plant rows: every
+    /// *later* plant state has norm at most `plant·‖z‖`, because
+    /// `C·A^{i+mJ} = C·Aⁱ·(Aᴶ)ᵐ` and `‖Aᴶ‖_F < 1`. Never larger than `full`,
+    /// since it leaves out the delayed-input rows.
+    plant: f64,
+}
+
+/// The bounds of a matrix with no contracting power: early exit disabled.
+const UNBOUNDED: TailBounds = TailBounds { full: f64::INFINITY, plant: f64::INFINITY };
+
+/// [`TailBounds`] of `a` (square) with the plant occupying its first
+/// `plant_order` rows, on freshly allocated power-iteration scratch.
+fn tail_bounds(a: &Matrix, plant_order: usize) -> Result<TailBounds> {
     if !a.is_square() {
         return Err(ControlError::InvalidModel {
             reason: format!("power norm bound needs a square matrix, got {:?}", a.shape()),
@@ -189,81 +218,128 @@ pub fn power_norm_bound(a: &Matrix) -> Result<f64> {
     }
     let mut power = Matrix::zeros(a.rows(), a.cols());
     let mut next = Matrix::zeros(a.rows(), a.cols());
-    power_norm_bound_into(a, &mut power, &mut next)
+    tail_bounds_into(a, plant_order, &mut power, &mut next)
 }
 
-/// The buffer-reusing core of [`power_norm_bound`]: `power` and `next` are
-/// caller-provided `n × n` scratch matrices (their contents are overwritten).
-/// Produces exactly the bound of [`power_norm_bound`]; the characterisation
-/// workspace pools the scratch per matrix order.
-fn power_norm_bound_into(a: &Matrix, power: &mut Matrix, next: &mut Matrix) -> Result<f64> {
+/// The buffer-reusing core of [`tail_bounds`]: `power` and `next` are
+/// caller-provided `n × n` scratch matrices (their contents are
+/// overwritten); the characterisation workspace pools them per matrix order.
+fn tail_bounds_into(
+    a: &Matrix,
+    plant_order: usize,
+    power: &mut Matrix,
+    next: &mut Matrix,
+) -> Result<TailBounds> {
     // ρ(A) ≥ 1 means no power ever contracts — skip the power iteration
     // entirely instead of grinding to the cap.
     if let Ok(rho) = cps_linalg::spectral_radius(a) {
         if rho >= 1.0 {
-            return Ok(f64::INFINITY);
+            return Ok(UNBOUNDED);
         }
     }
     power.copy_from(a)?;
-    let mut bound = 1.0f64;
+    // Row-major storage: the plant rows are the leading block.
+    let plant_len = plant_order.min(a.rows()) * a.cols();
+    let mut bounds = TailBounds { full: 1.0, plant: 0.0 };
     for _ in 0..POWER_BOUND_MAX_POWERS {
         let norm = power.frobenius_norm();
         if !norm.is_finite() {
-            return Ok(f64::INFINITY);
+            return Ok(UNBOUNDED);
         }
-        bound = bound.max(norm);
+        bounds.full = bounds.full.max(norm);
+        bounds.plant = bounds.plant.max(vec_norm(&power.as_slice()[..plant_len]));
         if norm < 1.0 {
-            return Ok(bound);
+            return Ok(bounds);
         }
         power.matmul_into(a, next)?;
         std::mem::swap(power, next);
     }
-    Ok(f64::INFINITY)
+    Ok(UNBOUNDED)
 }
 
 /// The state machinery a [`settle_driver`] run drives: one switched
 /// simulation (linear or saturated) exposing its current plant norm, its
-/// provable-settling test and one step of its dynamics.
+/// provable-settling test, one step of its dynamics and a snapshot of its
+/// state, so a run can resume from a recorded sample.
 trait SettleSim {
     /// Plant-state norm of the current sample.
     fn plant_norm(&self) -> f64;
-    /// Whether the remaining trajectory is provably settled, given that the
-    /// mode is fixed to ET (`true`) / TT (`false`) for the rest of the run.
+    /// Whether every *later* plant norm is provably at or below
+    /// `threshold`, given that the mode is fixed to ET (`true`) / TT
+    /// (`false`) for the rest of the run.
     fn provably_settled(&self, et_mode: bool, threshold: f64) -> bool;
     /// Advances one sampling period (`et_phase` selects the pre-switch
     /// dynamics).
     fn advance(&mut self, et_phase: bool);
+    /// Loads the initial condition of a run from its configured initial
+    /// state.
+    ///
+    /// # Errors
+    ///
+    /// [`ControlError::InvalidModel`] if `initial_state` has the wrong
+    /// length.
+    fn load_initial(&mut self, initial_state: &[f64]) -> Result<()>;
+    /// Number of values in a state snapshot.
+    fn state_len(&self) -> usize;
+    /// Appends a snapshot of everything [`SettleSim::advance`] reads.
+    fn save_state(&self, out: &mut Vec<f64>);
+    /// Restores a snapshot written by [`SettleSim::save_state`].
+    fn load_state(&mut self, state: &[f64]);
 }
 
-/// The settle loop shared by every switched simulation: simulate until the
-/// trajectory is provably settled (early exit) or the horizon cap is hit,
-/// tracking the last threshold violation. Returns the settling index with
-/// exactly the semantics of simulating the full horizon and applying
-/// [`settling_index`] (`None` = not settled within `horizon`); with
-/// `record` set, the visited plant-state norms are appended (the buffer is
-/// cleared first, reusing its capacity).
+/// Where a [`settle_driver`] run starts: the sample index the simulator's
+/// current state belongs to and the last threshold violation before it.
+#[derive(Debug, Clone, Copy)]
+struct Resume {
+    index: usize,
+    last_above: Option<usize>,
+}
+
+impl Resume {
+    /// A run from the initial state.
+    const START: Resume = Resume { index: 0, last_above: None };
+}
+
+/// The settle loop shared by every switched simulation: simulate from
+/// `from` until the trajectory is provably settled (early exit) or the
+/// horizon cap is hit, tracking the last threshold violation. Returns the
+/// settling index with exactly the semantics of simulating the full horizon
+/// from sample 0 and applying [`settling_index`] (`None` = not settled
+/// within `horizon`), provided the simulator holds the state of sample
+/// `from.index` of that trajectory and `from.last_above` is its last
+/// violation before it. With `norms` / `states` set, the visited plant-state
+/// norms / state snapshots are appended (the buffers are cleared first,
+/// reusing their capacity).
 ///
-/// `k_switch` must already be clamped to `horizon` by the caller (after
-/// loading the initial state).
+/// `k_switch` must already be clamped to `horizon` by the caller, and a run
+/// that resumes past sample 0 must resume at or before `k_switch`.
 fn settle_driver<S: SettleSim>(
     sim: &mut S,
     threshold: f64,
     k_switch: usize,
     horizon: usize,
-    mut record: Option<&mut Vec<f64>>,
+    from: Resume,
+    mut norms: Option<&mut Vec<f64>>,
+    mut states: Option<&mut Vec<f64>>,
 ) -> Option<usize> {
-    if let Some(buffer) = record.as_deref_mut() {
+    if let Some(buffer) = norms.as_deref_mut() {
+        buffer.clear();
+    }
+    if let Some(buffer) = states.as_deref_mut() {
         buffer.clear();
     }
     // The mode is fixed for the rest of the run from `fixed_from` on; only
     // then can a tail bound prove settling.
     let et_fixed = k_switch >= horizon;
     let fixed_from = if et_fixed { 0 } else { k_switch };
-    let mut last_above: Option<usize> = None;
-    for index in 0..=horizon {
+    let mut last_above = from.last_above;
+    for index in from.index..=horizon {
         let norm = sim.plant_norm();
-        if let Some(buffer) = record.as_deref_mut() {
+        if let Some(buffer) = norms.as_deref_mut() {
             buffer.push(norm);
+        }
+        if let Some(buffer) = states.as_deref_mut() {
+            sim.save_state(buffer);
         }
         if norm > threshold {
             last_above = Some(index);
@@ -283,28 +359,119 @@ fn settle_driver<S: SettleSim>(
     }
 }
 
+/// The one dwell/wait sweep behind [`characterize_dwell_vs_wait_with`] and
+/// [`SaturatedSwitchedModel::characterize_with`], simulating every sample
+/// once.
+///
+/// The pure-TT run gives ξᵀᵀ. The pure-ET run gives ξᴱᵀ, the upper end of
+/// the sweep (waiting longer means the disturbance is rejected entirely on
+/// ET communication), and records its norms — every point reports the norm
+/// at its switching instant — and its states. A wait point `w` shares the
+/// first `w` ET steps with that run, so it resumes at sample `w` from the
+/// recorded state, carrying over the prefix's last threshold violation,
+/// and only simulates its TT tail: the state is the same value a run from
+/// the initial state computes at sample `w`, so the settling index is
+/// bit-identical.
+fn sweep<S: SettleSim>(
+    sim: &mut S,
+    config: &CharacterizationConfig,
+    et_norms: &mut Vec<f64>,
+    et_states: &mut Vec<f64>,
+) -> Result<DwellWaitCurve> {
+    let (threshold, horizon, period) = (config.threshold, config.horizon, config.period);
+    sim.load_initial(&config.initial_state)?;
+    let xi_tt_steps = settle_driver(sim, threshold, 0, horizon, Resume::START, None, None)
+        .ok_or(ControlError::HorizonExceeded { what: "pure TT settling", steps: horizon })?;
+    sim.load_initial(&config.initial_state)?;
+    let xi_et_steps = settle_driver(
+        sim,
+        threshold,
+        horizon,
+        horizon,
+        Resume::START,
+        Some(&mut *et_norms),
+        Some(&mut *et_states),
+    )
+    .ok_or(ControlError::HorizonExceeded { what: "pure ET settling", steps: horizon })?;
+
+    // The ET run stops no earlier than sample ξᴱᵀ (it cannot prove settling
+    // before its last violation), so every wait point has its recording.
+    debug_assert!(et_norms.len() > xi_et_steps, "the pure-ET recording ends before ξᴱᵀ");
+    let mut points = Vec::with_capacity(xi_et_steps + 1);
+    let mut last_above = None;
+    let snapshots = et_states.chunks_exact(sim.state_len()).zip(et_norms.iter());
+    for (wait, (state, &norm_at_switch)) in snapshots.enumerate().take(xi_et_steps + 1) {
+        sim.load_state(state);
+        let from = Resume { index: wait, last_above };
+        let settle = settle_driver(sim, threshold, wait, horizon, from, None, None)
+            .ok_or(ControlError::HorizonExceeded { what: "switched settling", steps: horizon })?;
+        let dwell = settle.saturating_sub(wait);
+        points.push(DwellWaitPoint {
+            wait_time: wait as f64 * period,
+            wait_steps: wait,
+            dwell_time: dwell as f64 * period,
+            dwell_steps: dwell,
+            norm_at_switch,
+        });
+        if norm_at_switch > threshold {
+            last_above = Some(wait);
+        }
+    }
+    Ok(DwellWaitCurve {
+        points,
+        xi_tt: xi_tt_steps as f64 * period,
+        xi_et: xi_et_steps as f64 * period,
+        period,
+    })
+}
+
 /// Allocation-free switched settling engine: the scratch-buffer machinery of
 /// [`StepKernel`](crate::StepKernel) applied to the dwell/wait
 /// characterisation, with analytically justified early exit.
 ///
-/// Construction validates the matrix pair once and precomputes the
-/// [`power_norm_bound`] of each mode; every subsequent
-/// [`SwitchedKernel::settle_steps`] / [`SwitchedKernel::dwell_steps`] call
-/// is a bare `matvec_kernel` loop on two pre-allocated state buffers that
-/// stops as soon as the remaining trajectory is *provably* settled, instead
-/// of simulating a fixed full horizon and scanning backwards. Results are
-/// identical to the full-horizon reference path point for point.
+/// Construction validates the matrix pair once and precomputes each mode's
+/// plant-row tail bound (see [`power_norm_bound`] for the power iteration);
+/// every subsequent [`SwitchedKernel::settle_steps`] /
+/// [`SwitchedKernel::dwell_steps`] call is a bare `matvec_kernel` loop on
+/// two pre-allocated state buffers that stops as soon as the remaining
+/// trajectory is *provably* settled, instead of simulating a fixed full
+/// horizon and scanning backwards. Results are identical to the
+/// full-horizon reference path point for point.
 #[derive(Debug)]
 pub struct SwitchedKernel<'m> {
     a1: &'m Matrix,
     a2: &'m Matrix,
     plant_order: usize,
-    /// `sup_{j≥1} ‖A₁ʲ‖` bound for runs that never switch.
+    /// `max_{1≤i≤J} ‖C·A₁ⁱ‖` plant-row bound for runs that never switch.
     et_bound: f64,
-    /// `sup_{j≥1} ‖A₂ʲ‖` bound for the post-switch tail.
+    /// `max_{1≤i≤J} ‖C·A₂ⁱ‖` plant-row bound for the post-switch tail.
     tt_bound: f64,
     z: Vec<f64>,
     z_next: Vec<f64>,
+}
+
+/// Checks that `a1`/`a2` form a switched pair over at least `plant_order`
+/// states.
+fn validate_pair(a1: &Matrix, a2: &Matrix, plant_order: usize) -> Result<()> {
+    if a1.shape() != a2.shape() || !a1.is_square() {
+        return Err(ControlError::InvalidModel {
+            reason: format!(
+                "switched dynamics must share a square shape, got {:?} and {:?}",
+                a1.shape(),
+                a2.shape()
+            ),
+        });
+    }
+    if plant_order > a1.cols() {
+        return Err(ControlError::InvalidModel {
+            reason: format!(
+                "plant order {} exceeds the state dimension {}",
+                plant_order,
+                a1.cols()
+            ),
+        });
+    }
+    Ok(())
 }
 
 impl<'m> SwitchedKernel<'m> {
@@ -315,26 +482,9 @@ impl<'m> SwitchedKernel<'m> {
     /// Returns [`ControlError::InvalidModel`] if the matrices have different
     /// shapes, are not square, or `plant_order` exceeds the state dimension.
     pub fn new(a1: &'m Matrix, a2: &'m Matrix, plant_order: usize) -> Result<Self> {
-        if a1.shape() != a2.shape() || !a1.is_square() {
-            return Err(ControlError::InvalidModel {
-                reason: format!(
-                    "switched dynamics must share a square shape, got {:?} and {:?}",
-                    a1.shape(),
-                    a2.shape()
-                ),
-            });
-        }
-        if plant_order > a1.cols() {
-            return Err(ControlError::InvalidModel {
-                reason: format!(
-                    "plant order {} exceeds the state dimension {}",
-                    plant_order,
-                    a1.cols()
-                ),
-            });
-        }
-        let et_bound = power_norm_bound(a1)?;
-        let tt_bound = power_norm_bound(a2)?;
+        validate_pair(a1, a2, plant_order)?;
+        let et_bound = tail_bounds(a1, plant_order)?.plant;
+        let tt_bound = tail_bounds(a2, plant_order)?.plant;
         let order = a1.cols();
         Ok(SwitchedKernel {
             a1,
@@ -431,23 +581,14 @@ impl SwitchedDrive<'_, '_> {
         horizon: usize,
         record: Option<&mut Vec<f64>>,
     ) -> Result<Option<usize>> {
-        if initial_state.len() != self.z.len() {
-            return Err(ControlError::InvalidModel {
-                reason: format!(
-                    "initial state has length {} but the system has {} states",
-                    initial_state.len(),
-                    self.z.len()
-                ),
-            });
-        }
+        self.load_initial(initial_state)?;
         if !(threshold > 0.0) {
             return Err(ControlError::InvalidModel {
                 reason: format!("threshold must be positive, got {threshold}"),
             });
         }
-        self.z.copy_from_slice(initial_state);
         let clamped_switch = k_switch.min(horizon);
-        Ok(settle_driver(self, threshold, clamped_switch, horizon, record))
+        Ok(settle_driver(self, threshold, clamped_switch, horizon, Resume::START, record, None))
     }
 
     /// The one dwell implementation behind [`SwitchedKernel::dwell_steps`]
@@ -473,7 +614,7 @@ impl SettleSim for SwitchedDrive<'_, '_> {
 
     fn provably_settled(&self, et_mode: bool, threshold: f64) -> bool {
         let bound = if et_mode { self.et_bound } else { self.tt_bound };
-        // Every future plant norm is ≤ bound·‖z‖.
+        // Every later plant norm is ≤ bound·‖z‖.
         vec_norm(self.z) * bound <= threshold * EARLY_EXIT_SAFETY
     }
 
@@ -481,6 +622,32 @@ impl SettleSim for SwitchedDrive<'_, '_> {
         let dynamics = if et_phase { self.a1 } else { self.a2 };
         dynamics.matvec_kernel(self.z, self.z_next);
         std::mem::swap(self.z, self.z_next);
+    }
+
+    fn load_initial(&mut self, initial_state: &[f64]) -> Result<()> {
+        if initial_state.len() != self.z.len() {
+            return Err(ControlError::InvalidModel {
+                reason: format!(
+                    "initial state has length {} but the system has {} states",
+                    initial_state.len(),
+                    self.z.len()
+                ),
+            });
+        }
+        self.z.copy_from_slice(initial_state);
+        Ok(())
+    }
+
+    fn state_len(&self) -> usize {
+        self.z.len()
+    }
+
+    fn save_state(&self, out: &mut Vec<f64>) {
+        out.extend_from_slice(self.z);
+    }
+
+    fn load_state(&mut self, state: &[f64]) {
+        self.z.copy_from_slice(state);
     }
 }
 
@@ -541,14 +708,16 @@ impl SatBuffers {
 ///
 /// Every dwell/wait characterisation needs the same machinery: the switched
 /// state double-buffers of the settle loop, the matrix pair of the
-/// [`power_norm_bound`] precompute, the saturated-sim buffer bundle of the
-/// rig model and a recording buffer for the pure-ET norm trajectory. The
-/// seed path constructed all of it per application; this pool holds one
-/// entry per distinct dimension (fleets mix first- and second-order plants)
-/// and a design worker threads it through every characterisation, so a
-/// warm worker re-allocates none of the simulation scratch per application —
-/// only the materialised curve (and the eigenvalue temporaries of the
-/// stability pre-check) remain per-app allocations.
+/// tail-bound power iteration, the saturated-sim buffer bundle of the rig
+/// model, and the recording of the pure-ET run — its norm trajectory and
+/// its states, the shared prefix every wait point of the sweep resumes
+/// from. The seed path constructed all of it per application; this pool
+/// holds one entry per distinct dimension (fleets mix first- and
+/// second-order plants) and a design worker threads it through every
+/// characterisation, so a warm worker re-allocates none of the simulation
+/// scratch per application, whatever the sweep length — only the
+/// materialised curve (and the eigenvalue temporaries of the stability
+/// pre-check) remain per-app allocations.
 ///
 /// Every pooled path is the `_with` twin of its allocating reference and
 /// bit-identical to it (asserted by the characterisation parity tests).
@@ -564,6 +733,9 @@ pub struct CharacterizationWorkspace {
     saturated: Vec<SatBuffers>,
     /// Recording buffer for pure-ET norm trajectories.
     norms: Vec<f64>,
+    /// Recorded pure-ET states, one snapshot per visited sample: at least
+    /// `(ξᴱᵀ + 1) × order` values.
+    et_states: Vec<f64>,
 }
 
 impl CharacterizationWorkspace {
@@ -591,8 +763,8 @@ impl CharacterizationWorkspace {
         self.saturated.len()
     }
 
-    /// [`power_norm_bound`] on the pooled matrix pair for `a`'s order.
-    fn power_norm_bound(&mut self, a: &Matrix) -> Result<f64> {
+    /// [`TailBounds`] on the pooled matrix pair for `a`'s order.
+    fn tail_bounds(&mut self, a: &Matrix, plant_order: usize) -> Result<TailBounds> {
         if !a.is_square() {
             return Err(ControlError::InvalidModel {
                 reason: format!("power norm bound needs a square matrix, got {:?}", a.shape()),
@@ -610,14 +782,14 @@ impl CharacterizationWorkspace {
             }
         };
         let entry = &mut self.powers[index];
-        power_norm_bound_into(a, &mut entry.power, &mut entry.next)
+        tail_bounds_into(a, plant_order, &mut entry.power, &mut entry.next)
     }
 
     /// A pooled switched kernel over the matrix pair, plus the pooled
     /// recording buffer for norm trajectories: the borrowed twin of
-    /// [`SwitchedKernel::new`], with the state buffers and the
-    /// [`power_norm_bound`] scratch coming from the pool. Settling results
-    /// are bit-identical to the owning kernel's.
+    /// [`SwitchedKernel::new`], with the state buffers and the tail-bound
+    /// scratch coming from the pool. Settling results are bit-identical to
+    /// the owning kernel's.
     ///
     /// # Errors
     ///
@@ -628,28 +800,23 @@ impl CharacterizationWorkspace {
         a2: &'m Matrix,
         plant_order: usize,
     ) -> Result<(PooledSwitchedKernel<'m, 'w>, &'w mut Vec<f64>)> {
-        if a1.shape() != a2.shape() || !a1.is_square() {
-            return Err(ControlError::InvalidModel {
-                reason: format!(
-                    "switched dynamics must share a square shape, got {:?} and {:?}",
-                    a1.shape(),
-                    a2.shape()
-                ),
-            });
-        }
-        if plant_order > a1.cols() {
-            return Err(ControlError::InvalidModel {
-                reason: format!(
-                    "plant order {} exceeds the state dimension {}",
-                    plant_order,
-                    a1.cols()
-                ),
-            });
-        }
-        let et_bound = self.power_norm_bound(a1)?;
-        let tt_bound = self.power_norm_bound(a2)?;
+        let (kernel, norms, _) = self.switched_parts(a1, a2, plant_order)?;
+        Ok((kernel, norms))
+    }
+
+    /// [`CharacterizationWorkspace::switched_kernel`] plus the pooled
+    /// ET-state recording the sweep resumes from.
+    fn switched_parts<'m, 'w>(
+        &'w mut self,
+        a1: &'m Matrix,
+        a2: &'m Matrix,
+        plant_order: usize,
+    ) -> Result<(PooledSwitchedKernel<'m, 'w>, &'w mut Vec<f64>, &'w mut Vec<f64>)> {
+        validate_pair(a1, a2, plant_order)?;
+        let et_bound = self.tail_bounds(a1, plant_order)?.plant;
+        let tt_bound = self.tail_bounds(a2, plant_order)?.plant;
         let order = a1.cols();
-        let CharacterizationWorkspace { states, norms, .. } = self;
+        let CharacterizationWorkspace { states, norms, et_states, .. } = self;
         let index = match states.iter().position(|entry| entry.z.len() == order) {
             Some(index) => index,
             None => {
@@ -669,11 +836,12 @@ impl CharacterizationWorkspace {
                 z_next: &mut entry.z_next,
             },
             norms,
+            et_states,
         ))
     }
 
     /// The pooled saturated-sim bundle for the given dimensions (borrowed
-    /// alongside the power pool and the norm buffer by
+    /// alongside the power pool and the recording buffers by
     /// [`SaturatedSwitchedModel::characterize_with`]).
     fn saturated_entry(
         saturated: &mut Vec<SatBuffers>,
@@ -814,8 +982,11 @@ impl CharacterizationConfig {
 /// Built on the [`SwitchedKernel`] scratch-buffer machinery: every settling
 /// computation is allocation-free and exits as soon as settling is provable,
 /// instead of simulating the configured horizon in full (`config.horizon`
-/// acts as an upper cap only). The curve is identical to
-/// [`characterize_dwell_vs_wait_reference`] point for point.
+/// acts as an upper cap only), and each wait point resumes from the
+/// recorded pure-ET state at its switching instant instead of re-simulating
+/// the ET prefix, so every sample is simulated once per run it belongs to.
+/// The curve is identical to [`characterize_dwell_vs_wait_reference`] point
+/// for point.
 ///
 /// # Errors
 ///
@@ -833,9 +1004,9 @@ pub fn characterize_dwell_vs_wait(
 /// [`characterize_dwell_vs_wait`] on a caller-provided
 /// [`CharacterizationWorkspace`]: the shape a fleet-design worker threads
 /// through every application it characterises, so the switched-state
-/// buffers, the [`power_norm_bound`] scratch and the ET-norm recording
-/// buffer are allocated once per worker and dimension instead of once per
-/// application. The curve is bit-identical to the one-shot path for any
+/// buffers, the tail-bound scratch and the pure-ET norm and state
+/// recordings are allocated once per worker and dimension instead of once
+/// per application. The curve is bit-identical to the one-shot path for any
 /// (warm or cold, shared or private) workspace.
 ///
 /// # Errors
@@ -848,38 +1019,9 @@ pub fn characterize_dwell_vs_wait_with(
     workspace: &mut CharacterizationWorkspace,
 ) -> Result<DwellWaitCurve> {
     config.validate()?;
-    let x0 = &config.initial_state;
-    let (mut kernel, et_norms) = workspace.switched_kernel(a1, a2, config.plant_order)?;
-
-    // Pure-mode settling times: xi_et is also the upper end of the sweep,
-    // because waiting longer than xi_et means the disturbance is rejected
-    // entirely on ET communication. The pure-ET norms are recorded because
-    // every sweep point reports the norm at its switching instant.
-    let xi_tt_steps = kernel
-        .settle_steps(x0, config.threshold, 0, config.horizon, None)?
-        .ok_or(ControlError::HorizonExceeded { what: "pure TT settling", steps: config.horizon })?;
-    let xi_et_steps = kernel
-        .settle_steps(x0, config.threshold, config.horizon, config.horizon, Some(&mut *et_norms))?
-        .ok_or(ControlError::HorizonExceeded { what: "pure ET settling", steps: config.horizon })?;
-
-    let mut points = Vec::with_capacity(xi_et_steps + 1);
-    for wait in 0..=xi_et_steps {
-        let dwell = kernel.dwell_steps(x0, config.threshold, wait, config.horizon)?;
-        let norms_before = &et_norms[wait.min(et_norms.len() - 1)];
-        points.push(DwellWaitPoint {
-            wait_time: wait as f64 * config.period,
-            wait_steps: wait,
-            dwell_time: dwell as f64 * config.period,
-            dwell_steps: dwell,
-            norm_at_switch: *norms_before,
-        });
-    }
-    Ok(DwellWaitCurve {
-        points,
-        xi_tt: xi_tt_steps as f64 * config.period,
-        xi_et: xi_et_steps as f64 * config.period,
-        period: config.period,
-    })
+    let (mut kernel, et_norms, et_states) =
+        workspace.switched_parts(a1, a2, config.plant_order)?;
+    sweep(&mut kernel.drive(), config, et_norms, et_states)
 }
 
 /// The original full-horizon characterisation: every settling computation
@@ -1054,7 +1196,9 @@ impl SaturatedSwitchedModel {
     /// Runs on pre-allocated scratch buffers with early-exit settling
     /// detection: a run stops as soon as the tail is provably settled *and*
     /// provably free of actuator saturation (so the linear tail bound
-    /// applies); `config.horizon` caps each run instead of sizing it. The
+    /// applies); `config.horizon` caps each run instead of sizing it. Like
+    /// the linear sweep, each wait point resumes from the recorded pure-ET
+    /// state (plant state and previous input) at its switching instant. The
     /// curve matches [`SaturatedSwitchedModel::characterize_reference`]
     /// point for point.
     ///
@@ -1069,7 +1213,7 @@ impl SaturatedSwitchedModel {
 
     /// [`SaturatedSwitchedModel::characterize`] on a caller-provided
     /// [`CharacterizationWorkspace`]: the saturated-sim buffer bundle, the
-    /// [`power_norm_bound`] scratch and the ET-norm recording buffer come
+    /// tail-bound scratch and the pure-ET norm and state recordings come
     /// from the per-worker pool instead of being allocated per application.
     /// Bit-identical to the one-shot path.
     ///
@@ -1082,50 +1226,19 @@ impl SaturatedSwitchedModel {
         workspace: &mut CharacterizationWorkspace,
     ) -> Result<DwellWaitCurve> {
         config.validate()?;
-        let x0 = &config.initial_state;
-        let threshold = config.threshold;
+        let plant_order = self.plant_order();
         let et_closed = self.et_system.closed_loop(&self.et_gain)?;
         let tt_closed = self.tt_system.closed_loop(&self.tt_gain)?;
-        let et_bound = workspace.power_norm_bound(&et_closed)?;
-        let tt_bound = workspace.power_norm_bound(&tt_closed)?;
-        let CharacterizationWorkspace { saturated, norms: et_norms, .. } = workspace;
+        let et_bounds = workspace.tail_bounds(&et_closed, plant_order)?;
+        let tt_bounds = workspace.tail_bounds(&tt_closed, plant_order)?;
+        let CharacterizationWorkspace { saturated, norms, et_states, .. } = workspace;
         let buffers = CharacterizationWorkspace::saturated_entry(
             saturated,
-            self.plant_order(),
+            plant_order,
             self.et_system.inputs(),
         );
-        let mut sim = SaturatedSim::with_buffers(self, buffers, et_bound, tt_bound);
-
-        let xi_tt_steps = sim.settle_steps(x0, threshold, 0, config.horizon, None)?.ok_or(
-            ControlError::HorizonExceeded { what: "pure TT settling", steps: config.horizon },
-        )?;
-        let xi_et_steps = sim
-            .settle_steps(x0, threshold, config.horizon, config.horizon, Some(&mut *et_norms))?
-            .ok_or(ControlError::HorizonExceeded {
-                what: "pure ET settling",
-                steps: config.horizon,
-            })?;
-
-        let mut points = Vec::with_capacity(xi_et_steps + 1);
-        for wait in 0..=xi_et_steps {
-            let settle = sim.settle_steps(x0, threshold, wait, config.horizon, None)?.ok_or(
-                ControlError::HorizonExceeded { what: "switched settling", steps: config.horizon },
-            )?;
-            let dwell = settle.saturating_sub(wait);
-            points.push(DwellWaitPoint {
-                wait_time: wait as f64 * config.period,
-                wait_steps: wait,
-                dwell_time: dwell as f64 * config.period,
-                dwell_steps: dwell,
-                norm_at_switch: et_norms[wait.min(et_norms.len() - 1)],
-            });
-        }
-        Ok(DwellWaitCurve {
-            points,
-            xi_tt: xi_tt_steps as f64 * config.period,
-            xi_et: xi_et_steps as f64 * config.period,
-            period: config.period,
-        })
+        let mut sim = SaturatedSim::with_buffers(self, buffers, et_bounds, tt_bounds);
+        sweep(&mut sim, config, norms, et_states)
     }
 
     /// The original full-horizon characterisation through the allocating
@@ -1181,16 +1294,15 @@ impl SaturatedSwitchedModel {
 /// allocation-free twin of [`SaturatedSwitchedModel::switched_norms`], with
 /// the same early-exit machinery as [`SwitchedKernel`] extended by a
 /// saturation guard (the linear tail bound is only valid once every future
-/// input is provably inside the actuator limit). The buffers are borrowed —
-/// from a one-shot [`SatBuffers`] bundle on the allocating path, or from
-/// the [`CharacterizationWorkspace`] pool on the worker path.
+/// input is provably inside the actuator limit). The buffers are borrowed
+/// from the [`CharacterizationWorkspace`] pool.
 #[derive(Debug)]
 struct SaturatedSim<'a, 'b> {
     model: &'a SaturatedSwitchedModel,
     buffers: &'b mut SatBuffers,
-    /// `sup_{j≥1} ‖A₁ʲ‖` / `sup_{j≥1} ‖A₂ʲ‖` of the *linear* closed loops.
-    et_bound: f64,
-    tt_bound: f64,
+    /// Tail bounds of the *linear* ET / TT closed loops.
+    et_bounds: TailBounds,
+    tt_bounds: TailBounds,
     /// Frobenius norms of the feedback gains (for the saturation guard).
     et_gain_norm: f64,
     tt_gain_norm: f64,
@@ -1200,44 +1312,17 @@ impl<'a, 'b> SaturatedSim<'a, 'b> {
     fn with_buffers(
         model: &'a SaturatedSwitchedModel,
         buffers: &'b mut SatBuffers,
-        et_bound: f64,
-        tt_bound: f64,
+        et_bounds: TailBounds,
+        tt_bounds: TailBounds,
     ) -> Self {
         SaturatedSim {
             model,
             buffers,
-            et_bound,
-            tt_bound,
+            et_bounds,
+            tt_bounds,
             et_gain_norm: model.et_gain.frobenius_norm(),
             tt_gain_norm: model.tt_gain.frobenius_norm(),
         }
-    }
-
-    /// Settling index of the saturated switched trajectory — the semantics
-    /// of running [`SaturatedSwitchedModel::switched_norms`] over the full
-    /// horizon and applying [`settling_index`], computed without allocating
-    /// and with provable early exit. With `record` set, the visited
-    /// plant-state norms are appended (buffer cleared first).
-    fn settle_steps(
-        &mut self,
-        x0: &[f64],
-        threshold: f64,
-        k_switch: usize,
-        horizon: usize,
-        record: Option<&mut Vec<f64>>,
-    ) -> Result<Option<usize>> {
-        if x0.len() != self.buffers.x.len() {
-            return Err(ControlError::InvalidModel {
-                reason: format!(
-                    "initial state has length {}, expected {}",
-                    x0.len(),
-                    self.buffers.x.len()
-                ),
-            });
-        }
-        self.buffers.x.copy_from_slice(x0);
-        self.buffers.u_prev.fill(0.0);
-        Ok(settle_driver(self, threshold, k_switch.min(horizon), horizon, record))
     }
 }
 
@@ -1247,21 +1332,51 @@ impl SettleSim for SaturatedSim<'_, '_> {
     }
 
     fn provably_settled(&self, et_mode: bool, threshold: f64) -> bool {
-        let (bound, gain_norm) = if et_mode {
-            (self.et_bound, self.et_gain_norm)
+        let (bounds, gain_norm) = if et_mode {
+            (self.et_bounds, self.et_gain_norm)
         } else {
-            (self.tt_bound, self.tt_gain_norm)
+            (self.tt_bounds, self.tt_gain_norm)
         };
         // Norm of the full augmented state [x; u_prev].
         let z_norm = (self.buffers.x.iter().map(|v| v * v).sum::<f64>()
             + self.buffers.u_prev.iter().map(|v| v * v).sum::<f64>())
         .sqrt();
-        // Settled only if every future input also stays strictly inside the
-        // actuator limit, so the loop evolves linearly and every future
-        // plant norm is ≤ bound·‖z‖ ≤ threshold.
-        let tail = bound * z_norm;
-        tail <= threshold * EARLY_EXIT_SAFETY
-            && gain_norm * tail <= self.model.input_limit * EARLY_EXIT_SAFETY
+        // Settled only if every input from this sample on stays strictly
+        // inside the actuator limit (the gain acts on the full state, the
+        // current one included), so the loop evolves linearly and every
+        // later plant norm is ≤ plant·‖z‖ ≤ threshold.
+        z_norm * bounds.plant <= threshold * EARLY_EXIT_SAFETY
+            && gain_norm * bounds.full * z_norm <= self.model.input_limit * EARLY_EXIT_SAFETY
+    }
+
+    fn load_initial(&mut self, initial_state: &[f64]) -> Result<()> {
+        if initial_state.len() != self.buffers.x.len() {
+            return Err(ControlError::InvalidModel {
+                reason: format!(
+                    "initial state has length {}, expected {}",
+                    initial_state.len(),
+                    self.buffers.x.len()
+                ),
+            });
+        }
+        self.buffers.x.copy_from_slice(initial_state);
+        self.buffers.u_prev.fill(0.0);
+        Ok(())
+    }
+
+    fn state_len(&self) -> usize {
+        self.buffers.x.len() + self.buffers.u_prev.len()
+    }
+
+    fn save_state(&self, out: &mut Vec<f64>) {
+        out.extend_from_slice(&self.buffers.x);
+        out.extend_from_slice(&self.buffers.u_prev);
+    }
+
+    fn load_state(&mut self, state: &[f64]) {
+        let (x, u_prev) = state.split_at(self.buffers.x.len());
+        self.buffers.x.copy_from_slice(x);
+        self.buffers.u_prev.copy_from_slice(u_prev);
     }
 
     fn advance(&mut self, et_phase: bool) {
@@ -1535,6 +1650,60 @@ mod tests {
         // Marginally stable: identity never contracts.
         assert_eq!(power_norm_bound(&Matrix::identity(2)).unwrap(), f64::INFINITY);
         assert!(power_norm_bound(&Matrix::zeros(2, 3)).is_err());
+    }
+
+    #[test]
+    fn plant_row_bound_dominates_every_plant_row_power() {
+        // Random stable matrices, normal and strongly non-normal (large
+        // upper off-diagonals: transient growth before contraction), of
+        // orders 2–4 with every plant split: ‖C·Aʲ‖_F must stay at or below
+        // the plant-row bound for j = 1..=2000, far past the power J at
+        // which the iteration stopped, and the bound must never exceed the
+        // full-state bound it replaces.
+        let mut seed = 0x9e37_79b9_7f4a_7c15u64;
+        let mut uniform = move || {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            (seed >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0
+        };
+        let mut checked = 0;
+        for case in 0..60 {
+            let order = 2 + case % 3;
+            let skew = if case % 2 == 0 { 1.0 } else { 8.0 };
+            let mut data = vec![0.0; order * order];
+            for row in 0..order {
+                for col in 0..order {
+                    let scale = if col > row { skew } else { 1.0 };
+                    data[row * order + col] = scale * uniform();
+                }
+            }
+            let raw = Matrix::from_vec(order, order, data).unwrap();
+            let rho = cps_linalg::spectral_radius(&raw).unwrap();
+            let target = 0.5 + 0.49 * uniform().abs();
+            let a = raw.scale(target / rho);
+            for plant_order in 1..=order {
+                let bounds = tail_bounds(&a, plant_order).unwrap();
+                assert!(bounds.plant.is_finite(), "case {case}: stable matrix must contract");
+                assert!(bounds.plant <= bounds.full, "case {case}");
+                let mut power = a.clone();
+                for j in 1..=2000 {
+                    let rows = &power.as_slice()[..plant_order * order];
+                    assert!(
+                        vec_norm(rows) <= bounds.plant * (1.0 + 1e-12),
+                        "case {case}, plant order {plant_order}, j = {j}: {} > {}",
+                        vec_norm(rows),
+                        bounds.plant
+                    );
+                    power = power.matmul(&a).unwrap();
+                }
+                checked += 1;
+            }
+        }
+        assert_eq!(checked, 20 * (2 + 3 + 4));
+        // The full-state bound is exactly the public power-norm bound.
+        let (a1, _) = rig_linear_loops();
+        assert_eq!(tail_bounds(&a1, 2).unwrap().full, power_norm_bound(&a1).unwrap());
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //! inner loop (`SwitchedKernel::dwell_steps` sweeps) after warm-up, both on
 //! a kernel's own buffers and on the per-worker pooled
 //! `CharacterizationWorkspace` scratch the fleet designer threads through
-//! its characterisation passes — and across the branch-and-bound
+//! its characterisation passes (where a warm characterisation's allocation
+//! count must not depend on its sweep length) — and across the branch-and-bound
 //! slot-allocation search: every inner node evaluation (streaming
 //! schedulability check plus demand and clique bounds) and the full
 //! `OptimalAllocator::solve_in_place` run on buffers sized at construction.
@@ -29,7 +30,7 @@
 //! scoped per thread.
 
 use automotive_cps::control::{CharacterizationWorkspace, LaneStep, SwitchedKernel};
-use automotive_cps::core::{case_study, AllocationRuntime, RuntimeApp};
+use automotive_cps::core::{case_study, AllocationRuntime, ControlApplication, RuntimeApp};
 use automotive_cps::core::{CoSimulation, DegradationConfig, RunMetrics};
 use automotive_cps::flexray::{FaultModel, FlexRayConfig, GilbertElliott};
 use automotive_cps::linalg::{
@@ -271,6 +272,40 @@ fn kernel_and_runtime_hot_paths_do_not_allocate() {
     );
     assert_eq!(workspace.state_pool_size(), state_entries, "warm pool must not grow");
     assert_eq!(workspace.power_pool_size(), power_entries, "warm pool must not grow");
+
+    // The one-pass sweep records the pure-ET states every wait point
+    // resumes from in a pooled buffer, so on a warm workspace no
+    // allocation may depend on the sweep length: the same application at
+    // disturbance ×0.8 and ×1.2 (sweeps of different lengths) must make
+    // the same number of allocations — the per-application curve and
+    // stability pre-check temporaries, nothing per wait point.
+    let scaled: Vec<_> = [0.8, 1.2]
+        .iter()
+        .map(|factor| {
+            let mut spec = case_study::derived_fleet_specs().swap_remove(2);
+            spec.disturbance.iter_mut().for_each(|value| *value *= factor);
+            ControlApplication::design(spec).expect("scaled servo design")
+        })
+        .collect();
+    for app in &scaled {
+        automotive_cps::core::characterize_application_with(app, &mut workspace)
+            .expect("warm-up characterisation");
+    }
+    let mut counts = Vec::new();
+    let mut sweep_lengths = Vec::new();
+    for app in &scaled {
+        let before = ALLOCATIONS.load(Ordering::SeqCst);
+        let curve = automotive_cps::core::characterize_application_with(app, &mut workspace)
+            .expect("warm characterisation");
+        counts.push(ALLOCATIONS.load(Ordering::SeqCst) - before);
+        sweep_lengths.push(curve.points.len());
+    }
+    assert_ne!(sweep_lengths[0], sweep_lengths[1], "the two sweeps must differ in length");
+    assert_eq!(
+        counts[0], counts[1],
+        "warm characterisation allocations depend on the sweep length ({sweep_lengths:?} \
+         points made {counts:?} allocations)"
+    );
 
     // Branch-and-bound slot allocation: construction (priority order,
     // demand table, slot pool, greedy incumbent seed) may allocate; the
