@@ -171,9 +171,9 @@ pub fn dwell_steps(
 /// disagree with the proof.
 const EARLY_EXIT_SAFETY: f64 = 0.999;
 
-/// Maximum number of matrix powers examined by [`power_norm_bound`] before
-/// giving up (the bound then degrades to `∞` and early exit is disabled —
-/// results stay exact, only the shortcut is lost).
+/// Maximum number of matrix powers examined by the tail-bound power
+/// iteration before giving up (the bounds then degrade to `∞` and early exit
+/// is disabled — results stay exact, only the shortcut is lost).
 const POWER_BOUND_MAX_POWERS: usize = 50_000;
 
 /// Upper bound on `sup_{j ≥ 1} ‖Aʲ‖₂` via Frobenius norms of successive
@@ -192,7 +192,7 @@ pub fn power_norm_bound(a: &Matrix) -> Result<f64> {
 
 /// Both early-exit bounds of one closed-loop matrix `A`, from a single power
 /// iteration that stops at the first power `J` with `‖Aᴶ‖_F < 1`.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy)]
 struct TailBounds {
     /// `max(1, max_{1≤i≤J} ‖Aⁱ‖_F)` — the [`power_norm_bound`]: every
     /// future augmented state, the current one included, has norm at most
@@ -1704,6 +1704,29 @@ mod tests {
         // The full-state bound is exactly the public power-norm bound.
         let (a1, _) = rig_linear_loops();
         assert_eq!(tail_bounds(&a1, 2).unwrap().full, power_norm_bound(&a1).unwrap());
+    }
+
+    #[test]
+    fn saturation_guard_keeps_the_full_state_bound() {
+        // The gain sees the whole augmented state, the current sample
+        // included, so the actuator guard must bound inputs with the
+        // full-state bound even where the plant-row bound is smaller. With
+        // the threshold out of the way, the guard alone decides: a state
+        // just outside the full-state guard is not settled, one just inside
+        // is.
+        let model = rig_model();
+        let tt_closed = model.tt_system.closed_loop(&model.tt_gain).unwrap();
+        let et_closed = model.et_system.closed_loop(&model.et_gain).unwrap();
+        let tt = tail_bounds(&tt_closed, 2).unwrap();
+        let et = tail_bounds(&et_closed, 2).unwrap();
+        assert!(1.02 * tt.plant < tt.full, "plant {} vs full {}", tt.plant, tt.full);
+        let mut buffers = SatBuffers::new(2, 1);
+        let mut sim = SaturatedSim::with_buffers(&model, &mut buffers, et, tt);
+        let edge = model.input_limit * EARLY_EXIT_SAFETY / (sim.tt_gain_norm * tt.full);
+        sim.load_initial(&[1.02 * edge, 0.0]).unwrap();
+        assert!(!sim.provably_settled(false, f64::MAX));
+        sim.load_initial(&[0.98 * edge, 0.0]).unwrap();
+        assert!(sim.provably_settled(false, f64::MAX));
     }
 
     #[test]
