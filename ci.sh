@@ -203,13 +203,13 @@ if ! cargo test -q -p cps-flexray -- --list | grep "reference.*: test" > /dev/nu
     exit 1
 fi
 
-# The batched-equivalence suite carries the lane-batched stepping's
-# bit-identity contract (kernel, campaign and scenario layers); same
-# reasoning, same gate.
-step "batched-equivalence suite is collected (tests/batched_equivalence.rs)"
-if ! cargo test -q -p automotive-cps --test batched_equivalence -- --list \
+# The scenario-batch suite carries the parallel scenario engine's
+# determinism contract (outcomes independent of the thread count, ragged
+# scenario counts included, as a proptest); same reasoning, same gate.
+step "scenario-batch suite is collected (tests/scenario_batch.rs)"
+if ! cargo test -q -p automotive-cps --test scenario_batch -- --list \
         | grep ": test" > /dev/null; then
-    echo "ERROR: the batched_equivalence suite was skipped or is empty" >&2
+    echo "ERROR: the scenario_batch suite was skipped or is empty" >&2
     exit 1
 fi
 

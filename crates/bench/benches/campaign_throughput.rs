@@ -8,9 +8,9 @@
 //! measured through the allocation-free `run_metrics_into` hot path. The
 //! campaign streams scenarios through its bounded channel, so memory stays
 //! O(workers) at any scenario count; on a single-core host the worker
-//! counts merely demonstrate determinism. The `faulty24_lanes` rungs sweep
-//! the lane width of the batched kernel stepping at a fixed single worker —
-//! bit-identical results at every width, so the knob is pure throughput.
+//! counts merely demonstrate determinism. The `faulty24_workers` rungs are
+//! the campaign rung of the perf history; `nominal24_workers/1` prices the
+//! fault layer against the nominal path.
 
 use cps_core::{case_study, DesignedFleet, RobustnessCampaign, RobustnessSweep};
 use cps_flexray::{FlexRayConfig, GilbertElliott};
@@ -71,20 +71,6 @@ fn bench(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("faulty24_workers", workers),
             &workers,
-            |b, _| b.iter(|| campaign.run(&short_sweep).expect("campaign run")),
-        );
-    }
-    // Lane-width sweep at a fixed single worker: what the lane-batched
-    // kernel stepping buys over the scalar engine (lane width 1), and
-    // whether wider batches keep paying. The campaign result is
-    // bit-identical at every width, so this knob is pure throughput.
-    for lane_width in [1usize, 4, 8] {
-        let campaign = RobustnessCampaign::new(Arc::clone(&fleet), 2019)
-            .with_workers(1)
-            .with_lane_width(lane_width);
-        group.bench_with_input(
-            BenchmarkId::new("faulty24_lanes", lane_width),
-            &lane_width,
             |b, _| b.iter(|| campaign.run(&short_sweep).expect("campaign run")),
         );
     }

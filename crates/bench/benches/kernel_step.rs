@@ -7,17 +7,12 @@
 //! one in-place matrix–vector product on a precompiled closed-loop matrix.
 //! This bench times both on the servo-rig application and prints the
 //! measured speedup (the acceptance target is ≥5×).
-//!
-//! The lane-batched rungs time a [`cps_control::BatchStepKernel`] advancing
-//! K lanes per period (one lane-batched matmul) against K sequential scalar
-//! kernels, both uniform and fully divergent; the printed batched-vs-scalar
-//! speedup has a ≥3× acceptance target.
 
 use cps_control::{
-    design_by_pole_placement, plants, CommunicationMode, DelayedLtiSystem, LaneStep,
+    design_by_pole_placement, plants, CommunicationMode, DelayedLtiSystem,
     StateFeedbackController, StepKernel,
 };
-use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use std::time::Instant;
 
 fn servo_parts(
@@ -143,115 +138,6 @@ fn bench(c: &mut Criterion) {
         })
     });
 
-    // Lane-batched stepping vs. K sequential scalar kernels: one iteration
-    // advances all K lanes by one period. The batched path is one
-    // lane-batched matmul (`step_uniform`); the scalar reference steps K
-    // independent kernels in a loop. Both re-inject the disturbance into
-    // every lane on the same cadence so neither decays into subnormals.
-    // Acceptance target: the per-lane cost of the batched path is ≥3× lower.
-    let matrices = std::sync::Arc::clone(kernel.matrices());
-    for lanes in [4usize, 8, 16] {
-        let mut scalars: Vec<StepKernel> = (0..lanes).map(|_| matrices.kernel()).collect();
-        let mut batched = matrices.batch_kernel(lanes);
-        for (lane, scalar) in scalars.iter_mut().enumerate() {
-            scalar.inject_disturbance(&disturbance).expect("disturbance");
-            batched.inject_lane_disturbance_scaled(lane, &disturbance, 1.0).expect("lanes");
-        }
-
-        let scalar_ns = {
-            let mut i = 0u32;
-            measure(STEPS, |_| {
-                i = i.wrapping_add(1);
-                for scalar in &mut scalars {
-                    if i % REINJECT_EVERY == 0 {
-                        scalar.inject_disturbance(&disturbance).expect("disturbance");
-                    }
-                    scalar.step(black_box(CommunicationMode::TimeTriggered));
-                }
-            })
-        };
-        let batched_ns = {
-            let mut i = 0u32;
-            measure(STEPS, |_| {
-                i = i.wrapping_add(1);
-                if i % REINJECT_EVERY == 0 {
-                    for lane in 0..lanes {
-                        batched
-                            .inject_lane_disturbance_scaled(lane, &disturbance, 1.0)
-                            .expect("disturbance");
-                    }
-                }
-                batched.step_uniform(black_box(LaneStep::TimeTriggered));
-            })
-        };
-        println!("=== BatchStepKernel vs. {lanes} sequential StepKernels (servo rig) ===");
-        println!("scalar x{lanes}:  {scalar_ns:>8.1} ns/period ({:.1} ns/lane)", scalar_ns / lanes as f64);
-        println!("batched x{lanes}: {batched_ns:>8.1} ns/period ({:.1} ns/lane)", batched_ns / lanes as f64);
-        println!("speedup:    {:>8.1}x (target >= 3x)\n", scalar_ns / batched_ns);
-
-        group.bench_with_input(
-            BenchmarkId::new("scalar_lane_loop", lanes),
-            &lanes,
-            |b, _| {
-                let mut i = 0u32;
-                b.iter(|| {
-                    i = i.wrapping_add(1);
-                    for scalar in &mut scalars {
-                        if i % REINJECT_EVERY == 0 {
-                            scalar.inject_disturbance(&disturbance).expect("disturbance");
-                        }
-                        scalar.step(black_box(CommunicationMode::TimeTriggered));
-                    }
-                })
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("batched_lanes", lanes),
-            &lanes,
-            |b, _| {
-                let mut i = 0u32;
-                b.iter(|| {
-                    i = i.wrapping_add(1);
-                    if i % REINJECT_EVERY == 0 {
-                        for lane in 0..lanes {
-                            batched
-                                .inject_lane_disturbance_scaled(lane, &disturbance, 1.0)
-                                .expect("disturbance");
-                        }
-                    }
-                    batched.step_uniform(black_box(LaneStep::TimeTriggered));
-                })
-            },
-        );
-        // The divergent period: every lane peels off to the strided scalar
-        // kernel (worst case for the batch — it must stay close to the
-        // scalar loop, never catastrophically slower).
-        group.bench_with_input(
-            BenchmarkId::new("batched_lanes_divergent", lanes),
-            &lanes,
-            |b, _| {
-                let ops: Vec<LaneStep> = (0..lanes)
-                    .map(|lane| match lane % 3 {
-                        0 => LaneStep::EventTriggered,
-                        1 => LaneStep::TimeTriggered,
-                        _ => LaneStep::Hold,
-                    })
-                    .collect();
-                let mut i = 0u32;
-                b.iter(|| {
-                    i = i.wrapping_add(1);
-                    if i % REINJECT_EVERY == 0 {
-                        for lane in 0..lanes {
-                            batched
-                                .inject_lane_disturbance_scaled(lane, &disturbance, 1.0)
-                                .expect("disturbance");
-                        }
-                    }
-                    batched.step_lanes(black_box(&ops));
-                })
-            },
-        );
-    }
     group.finish();
 }
 

@@ -13,7 +13,7 @@
 //! * `ablation_fixed_point`, `ablation_allocation`, `ablation_segments` —
 //!   ablations A1–A3.
 //! * `kernel_step`, `scenario_throughput`, `fleet_design`, `characterize` —
-//!   the perf benches: fused step kernel vs. the seed path, batched scenario
+//!   the perf benches: fused step kernel vs. the seed path, scenario-batch
 //!   throughput, design-tier costs (controller synthesis, shared vs. cloned
 //!   engine spin-up, workspace vs. allocating DARE) and kernel-based vs.
 //!   full-horizon characterisation.

@@ -27,9 +27,7 @@ use crate::delayed::{plant_state_norm, DelayedLtiSystem};
 use crate::error::{ControlError, Result};
 use crate::lqr::StateFeedbackController;
 use crate::sim::CommunicationMode;
-use cps_linalg::{
-    matvec_kernel_n, matvec_lane_strided, matvec_lanes_kernel, Matrix,
-};
+use cps_linalg::{matvec_kernel_n, Matrix};
 use std::sync::Arc;
 
 /// Const-generic kernel selection, resolved **once at construction** from
@@ -193,27 +191,6 @@ impl KernelMatrices {
             z: vec![0.0; order],
             z_next: vec![0.0; order],
             time: 0.0,
-        }
-    }
-
-    /// Builds a lane-batched stepper over `lanes` independent copies of this
-    /// application's closed loop, all starting at the origin.
-    ///
-    /// See [`BatchStepKernel`] for the packed layout and the bit-identity
-    /// contract with the scalar [`StepKernel`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lanes` is zero.
-    pub fn batch_kernel(self: &Arc<Self>, lanes: usize) -> BatchStepKernel {
-        assert!(lanes >= 1, "batch_kernel requires at least one lane");
-        let order = self.augmented_order();
-        BatchStepKernel {
-            matrices: Arc::clone(self),
-            lanes,
-            z: vec![0.0; order * lanes],
-            z_next: vec![0.0; order * lanes],
-            times: vec![0.0; lanes],
         }
     }
 }
@@ -390,262 +367,6 @@ impl StepKernel {
     }
 }
 
-/// What one lane of a [`BatchStepKernel`] does this sampling period.
-///
-/// The first three variants mirror the scalar stepper exactly
-/// ([`StepKernel::step`] in either mode, [`StepKernel::step_hold`]); `Skip`
-/// parks a lane whose scenario already finished — state and time unchanged —
-/// so ragged lane durations cost nothing but a column copy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LaneStep {
-    /// Closed-loop step under the event-triggered matrix `A₁`.
-    EventTriggered,
-    /// Closed-loop step under the time-triggered matrix `A₂`.
-    TimeTriggered,
-    /// Hold-last-command step under `H` (lost actuation frame).
-    Hold,
-    /// Lane inactive this period: state and time unchanged.
-    Skip,
-}
-
-impl LaneStep {
-    /// The regular closed-loop step of `mode`.
-    pub fn from_mode(mode: CommunicationMode) -> Self {
-        match mode {
-            CommunicationMode::EventTriggered => LaneStep::EventTriggered,
-            CommunicationMode::TimeTriggered => LaneStep::TimeTriggered,
-        }
-    }
-}
-
-/// Lane-batched twin of [`StepKernel`]: `lanes` independent copies of one
-/// application's closed loop stepped together through the packed-state
-/// kernels of `cps-linalg`.
-///
-/// The augmented states are packed as an `order×lanes` row-major matrix
-/// (`z[i * lanes + l]` = component `i` of lane `l`), so a period in which
-/// every lane takes the *same* step is one `A·Z` matmul
-/// ([`cps_linalg::matvec_lanes_kernel`]) — `lanes` independent accumulator
-/// chains per instruction stream instead of `lanes` sequential matvecs.
-/// Lanes that **diverge** (one switches communication mode, one loses its
-/// actuation frame and holds, one scenario already finished) peel off to the
-/// strided scalar path ([`cps_linalg::matvec_lane_strided`]) for that period
-/// and rejoin the batch afterwards.
-///
-/// # Bit-identity
-///
-/// Every path — batched, strided peel-off, skip — accumulates each state
-/// component in the same ascending-`k` order from `0.0` as
-/// [`StepKernel::step`], so lane `l`'s trajectory is **bit-identical** to a
-/// scalar kernel stepped with the same per-period [`LaneStep`] sequence,
-/// for every lane width. Batching is a throughput optimisation only; it can
-/// never change a result. (Pinned by `tests/batched_equivalence.rs` and the
-/// unit suite below.)
-#[derive(Debug, Clone)]
-pub struct BatchStepKernel {
-    /// The immutable fused matrices, shared with every scalar stepper of
-    /// the same application design.
-    matrices: Arc<KernelMatrices>,
-    lanes: usize,
-    /// Packed augmented states, `z[i * lanes + l]`.
-    z: Vec<f64>,
-    /// Workspace for the next packed states (swapped with `z` every step).
-    z_next: Vec<f64>,
-    /// Per-lane simulation time in seconds (lanes can be ragged).
-    times: Vec<f64>,
-}
-
-impl BatchStepKernel {
-    /// The shared fused matrices this batch runs on.
-    pub fn matrices(&self) -> &Arc<KernelMatrices> {
-        &self.matrices
-    }
-
-    /// Number of lanes stepped together.
-    pub fn lanes(&self) -> usize {
-        self.lanes
-    }
-
-    /// Sampling period of the loop in seconds.
-    pub fn period(&self) -> f64 {
-        self.matrices.period
-    }
-
-    /// Number of physical plant states (per lane).
-    pub fn plant_order(&self) -> usize {
-        self.matrices.plant_order
-    }
-
-    /// Number of control inputs (per lane).
-    pub fn inputs(&self) -> usize {
-        self.matrices.inputs
-    }
-
-    /// Simulation time of `lane` in seconds (`Skip` periods don't advance
-    /// it).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane` is out of bounds.
-    pub fn lane_time(&self, lane: usize) -> f64 {
-        self.times[lane]
-    }
-
-    /// Norm of `lane`'s physical plant state — bit-identical to
-    /// [`StepKernel::state_norm`] on the same trajectory (same
-    /// ascending-component sum of squares).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane` is out of bounds.
-    #[inline]
-    pub fn lane_state_norm(&self, lane: usize) -> f64 {
-        assert!(lane < self.lanes, "lane index out of bounds");
-        let mut acc = 0.0;
-        for i in 0..self.matrices.plant_order {
-            let v = self.z[i * self.lanes + lane];
-            acc += v * v;
-        }
-        acc.sqrt()
-    }
-
-    /// Gathers `lane`'s augmented state `z = [x; u_prev]` into `out`
-    /// without allocating.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane` is out of bounds or `out` does not have the
-    /// augmented order's length.
-    pub fn lane_augmented_into(&self, lane: usize, out: &mut [f64]) {
-        assert!(lane < self.lanes, "lane index out of bounds");
-        assert_eq!(out.len(), self.matrices.augmented_order(), "output length");
-        for (i, slot) in out.iter_mut().enumerate() {
-            *slot = self.z[i * self.lanes + lane];
-        }
-    }
-
-    /// Adds `scale * disturbance` to `lane`'s plant state — the packed twin
-    /// of [`StepKernel::inject_disturbance_scaled`], bit-identical per lane.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ControlError::InvalidModel`] if the disturbance has the
-    /// wrong dimension or `lane` is out of bounds.
-    pub fn inject_lane_disturbance_scaled(
-        &mut self,
-        lane: usize,
-        disturbance: &[f64],
-        scale: f64,
-    ) -> Result<()> {
-        if disturbance.len() != self.matrices.plant_order {
-            return Err(ControlError::InvalidModel {
-                reason: format!(
-                    "disturbance has length {} but the plant has {} states",
-                    disturbance.len(),
-                    self.matrices.plant_order
-                ),
-            });
-        }
-        if lane >= self.lanes {
-            return Err(ControlError::InvalidModel {
-                reason: format!("lane {lane} out of bounds for {} lanes", self.lanes),
-            });
-        }
-        for (i, d) in disturbance.iter().enumerate() {
-            self.z[i * self.lanes + lane] += scale * d;
-        }
-        Ok(())
-    }
-
-    /// Resets `lane`'s state and time to zero, leaving the other lanes
-    /// untouched — the per-lane twin of [`StepKernel::reset`], used when a
-    /// finished lane is reloaded with the next scenario.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane` is out of bounds.
-    pub fn reset_lane(&mut self, lane: usize) {
-        assert!(lane < self.lanes, "lane index out of bounds");
-        for i in 0..self.matrices.augmented_order() {
-            self.z[i * self.lanes + lane] = 0.0;
-            self.z_next[i * self.lanes + lane] = 0.0;
-        }
-        self.times[lane] = 0.0;
-    }
-
-    /// Resets every lane's state and time to zero.
-    pub fn reset(&mut self) {
-        self.z.fill(0.0);
-        self.z_next.fill(0.0);
-        self.times.fill(0.0);
-    }
-
-    /// Advances every lane by one sampling period with the same step — the
-    /// uniform fast path: one lane-batched matmul, no per-lane dispatch.
-    ///
-    /// `Skip` leaves the whole batch untouched.
-    #[inline]
-    pub fn step_uniform(&mut self, op: LaneStep) {
-        let a = match op {
-            LaneStep::EventTriggered => &self.matrices.et,
-            LaneStep::TimeTriggered => &self.matrices.tt,
-            LaneStep::Hold => &self.matrices.hold,
-            LaneStep::Skip => return,
-        };
-        let order = self.matrices.augmented_order();
-        matvec_lanes_kernel(order, a.as_slice(), &self.z, self.lanes, &mut self.z_next);
-        std::mem::swap(&mut self.z, &mut self.z_next);
-        for t in &mut self.times {
-            *t += self.matrices.period;
-        }
-    }
-
-    /// Advances the batch by one sampling period, lane `l` taking `ops[l]`.
-    ///
-    /// When every lane takes the same (non-`Skip`) step this is the uniform
-    /// fast path of [`BatchStepKernel::step_uniform`]; otherwise each lane
-    /// peels off to the strided scalar kernel (or a column copy for `Skip`)
-    /// — bit-identical either way, the split is purely a perf decision.
-    ///
-    /// # Panics
-    ///
-    /// Panics (in debug builds) if `ops` does not have one entry per lane.
-    #[inline]
-    pub fn step_lanes(&mut self, ops: &[LaneStep]) {
-        debug_assert_eq!(ops.len(), self.lanes, "one LaneStep per lane");
-        if let Some(&first) = ops.first() {
-            if ops.iter().all(|&op| op == first) {
-                self.step_uniform(first);
-                return;
-            }
-        }
-        let order = self.matrices.augmented_order();
-        for (lane, &op) in ops.iter().enumerate() {
-            let a = match op {
-                LaneStep::EventTriggered => &self.matrices.et,
-                LaneStep::TimeTriggered => &self.matrices.tt,
-                LaneStep::Hold => &self.matrices.hold,
-                LaneStep::Skip => {
-                    for i in 0..order {
-                        self.z_next[i * self.lanes + lane] = self.z[i * self.lanes + lane];
-                    }
-                    continue;
-                }
-            };
-            matvec_lane_strided(
-                order,
-                a.as_slice(),
-                &self.z,
-                self.lanes,
-                lane,
-                &mut self.z_next,
-            );
-            self.times[lane] += self.matrices.period;
-        }
-        std::mem::swap(&mut self.z, &mut self.z_next);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -798,123 +519,6 @@ mod tests {
         assert_eq!(second.time(), 0.0);
         second.step(CommunicationMode::TimeTriggered);
         assert_eq!(first.augmented_state(), second.augmented_state());
-    }
-
-    /// Deterministic per-lane step schedule mixing modes, holds and skips —
-    /// the divergence storm the batched kernel must survive bit-for-bit.
-    fn lane_schedule(seed: u64, lanes: usize, steps: usize) -> Vec<Vec<LaneStep>> {
-        let mut state = seed.max(1);
-        (0..steps)
-            .map(|_| {
-                (0..lanes)
-                    .map(|_| {
-                        state = state
-                            .wrapping_mul(6364136223846793005)
-                            .wrapping_add(1442695040888963407);
-                        match (state >> 33) % 4 {
-                            0 => LaneStep::EventTriggered,
-                            1 => LaneStep::TimeTriggered,
-                            2 => LaneStep::Hold,
-                            _ => LaneStep::Skip,
-                        }
-                    })
-                    .collect()
-            })
-            .collect()
-    }
-
-    #[test]
-    fn batched_lanes_match_scalar_kernels_bit_for_bit() {
-        let matrices = Arc::clone(servo_kernel().matrices());
-        for lanes in [1usize, 2, 3, 4, 5, 7, 8] {
-            let mut batch = matrices.batch_kernel(lanes);
-            let mut scalars: Vec<StepKernel> =
-                (0..lanes).map(|_| matrices.kernel()).collect();
-            for (lane, scalar) in scalars.iter_mut().enumerate() {
-                let d = [0.3 + 0.1 * lane as f64, -0.2 + 0.05 * lane as f64];
-                scalar.inject_disturbance_scaled(&d, 1.0).unwrap();
-                batch.inject_lane_disturbance_scaled(lane, &d, 1.0).unwrap();
-            }
-            let mut gathered = vec![0.0; matrices.augmented_order()];
-            for ops in lane_schedule(lanes as u64, lanes, 300) {
-                batch.step_lanes(&ops);
-                for (lane, scalar) in scalars.iter_mut().enumerate() {
-                    match ops[lane] {
-                        LaneStep::EventTriggered => {
-                            scalar.step(CommunicationMode::EventTriggered)
-                        }
-                        LaneStep::TimeTriggered => {
-                            scalar.step(CommunicationMode::TimeTriggered)
-                        }
-                        LaneStep::Hold => scalar.step_hold(),
-                        LaneStep::Skip => {}
-                    }
-                    batch.lane_augmented_into(lane, &mut gathered);
-                    assert_eq!(gathered.as_slice(), scalar.augmented_state());
-                    assert_eq!(
-                        batch.lane_state_norm(lane).to_bits(),
-                        scalar.state_norm().to_bits(),
-                        "norms must match bitwise"
-                    );
-                    assert_eq!(batch.lane_time(lane), scalar.time());
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn uniform_fast_path_matches_per_lane_dispatch() {
-        let matrices = Arc::clone(servo_kernel().matrices());
-        let mut uniform = matrices.batch_kernel(4);
-        let mut mixed = matrices.batch_kernel(4);
-        for lane in 0..4 {
-            let d = [0.1 * (lane + 1) as f64, -0.05];
-            uniform.inject_lane_disturbance_scaled(lane, &d, 1.0).unwrap();
-            mixed.inject_lane_disturbance_scaled(lane, &d, 1.0).unwrap();
-        }
-        let mut a = vec![0.0; matrices.augmented_order()];
-        let mut b = a.clone();
-        for op in [LaneStep::TimeTriggered, LaneStep::Hold, LaneStep::EventTriggered] {
-            uniform.step_uniform(op);
-            mixed.step_lanes(&[op; 4]);
-            for lane in 0..4 {
-                uniform.lane_augmented_into(lane, &mut a);
-                mixed.lane_augmented_into(lane, &mut b);
-                assert_eq!(a, b);
-            }
-        }
-        // Skip is a no-op on every path.
-        let before = uniform.clone();
-        uniform.step_uniform(LaneStep::Skip);
-        uniform.step_lanes(&[LaneStep::Skip; 4]);
-        for lane in 0..4 {
-            uniform.lane_augmented_into(lane, &mut a);
-            before.lane_augmented_into(lane, &mut b);
-            assert_eq!(a, b);
-            assert_eq!(uniform.lane_time(lane), before.lane_time(lane));
-        }
-    }
-
-    #[test]
-    fn reset_lane_clears_one_lane_only() {
-        let matrices = Arc::clone(servo_kernel().matrices());
-        let mut batch = matrices.batch_kernel(3);
-        for lane in 0..3 {
-            batch.inject_lane_disturbance_scaled(lane, &[0.4, 0.2], 1.0).unwrap();
-        }
-        batch.step_uniform(LaneStep::TimeTriggered);
-        let survivor_norm = batch.lane_state_norm(2);
-        batch.reset_lane(1);
-        assert_eq!(batch.lane_state_norm(1), 0.0);
-        assert_eq!(batch.lane_time(1), 0.0);
-        assert_eq!(batch.lane_state_norm(2), survivor_norm);
-        assert!(batch.lane_time(2) > 0.0);
-        batch.reset();
-        assert_eq!(batch.lane_state_norm(0), 0.0);
-        assert_eq!(batch.lane_time(2), 0.0);
-        // Validation mirrors the scalar kernel.
-        assert!(batch.inject_lane_disturbance_scaled(0, &[1.0], 1.0).is_err());
-        assert!(batch.inject_lane_disturbance_scaled(9, &[1.0, 0.0], 1.0).is_err());
     }
 
     #[test]

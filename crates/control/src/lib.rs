@@ -37,11 +37,6 @@
 //!   matrix–vector product (dispatched once, at construction, to the
 //!   const-generic unrolled kernel of the application's 2–6 state augmented
 //!   order).
-//! * [`BatchStepKernel`] — the lane-batched twin: K scenarios of the same
-//!   application packed into an `order×K` state matrix and stepped with one
-//!   matmul per period; lanes that diverge (mode switch, hold-last-command,
-//!   finished scenario) peel off to a strided scalar path per [`LaneStep`]
-//!   and rejoin — bit-identical to K scalar kernels on every path.
 //! * [`PlantSimulator`] — step-by-step closed-loop simulation with runtime
 //!   mode switching, driven by the co-simulation engine in `cps-core`.
 //!
@@ -100,7 +95,7 @@ pub use delayed::{plant_state_norm, DelayedLtiSystem};
 pub use design::DesignWorkspace;
 pub use discrete::DiscreteStateSpace;
 pub use error::{ControlError, Result};
-pub use kernel::{BatchStepKernel, KernelMatrices, LaneStep, StepKernel};
+pub use kernel::{KernelMatrices, StepKernel};
 pub use lqr::{
     design_by_pole_placement, design_lqr, design_lqr_with, design_switched_pair,
     design_switched_pair_with, LqrWeights, StateFeedbackController, SwitchedControllerPair,

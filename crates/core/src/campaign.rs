@@ -11,8 +11,8 @@
 //!
 //! # Determinism
 //!
-//! A campaign's [`CampaignStats`] are bit-identical for any worker count ×
-//! lane width ([`RobustnessCampaign::with_lane_width`]):
+//! A campaign's [`CampaignStats`] are bit-identical for any worker count
+//! and chunk size:
 //!
 //! * Per-scenario randomness comes from
 //!   [`SimRng::derive`]`(campaign_seed, scenario_index)` — a pure function
@@ -22,19 +22,12 @@
 //!   return each chunk's metrics through a bounded channel; the aggregator
 //!   reorders chunks and folds scenarios in strict index order. The
 //!   (order-dependent) P² sketches therefore always see the same sequence.
-//! * Lane-batched stepping (consecutive scenarios of a chunk packed into
-//!   the lanes of one [`cps_control::BatchStepKernel`] per application)
-//!   changes only how many scenarios share an instruction stream, never a
-//!   trajectory: every lane owns a private bus, runtime and RNG stream, and
-//!   the batched kernels are bit-identical to the scalar ones by
-//!   construction.
 //!
 //! On top of the aggregates,
 //! [`CampaignStats::settling_probabilities`] runs the statistical
 //! model-checking readout: per scenario family, P(settle ≤ deadline) with an
 //! exact Clopper–Pearson confidence interval ([`clopper_pearson`]).
 
-use crate::batch::BatchCoSim;
 use crate::cosim::{CoSimulation, DegradationConfig, ModeSwitchStorm, RunMetrics};
 use crate::error::{CoreError, Result};
 use crate::fleet::DesignedFleet;
@@ -264,7 +257,6 @@ pub struct RobustnessCampaign {
     seed: u64,
     workers: usize,
     chunk_size: u64,
-    lane_width: usize,
     /// Cooperative cancellation checkpoint, polled at every scenario
     /// boundary on every worker; `None` never cancels.
     cancel: Option<cps_sched::CancelToken>,
@@ -274,7 +266,7 @@ impl RobustnessCampaign {
     /// Creates a campaign runner over a shared fleet design with the given
     /// campaign seed.
     pub fn new(fleet: Arc<DesignedFleet>, seed: u64) -> Self {
-        RobustnessCampaign { fleet, seed, workers: 0, chunk_size: 64, lane_width: 4, cancel: None }
+        RobustnessCampaign { fleet, seed, workers: 0, chunk_size: 64, cancel: None }
     }
 
     /// Sets the worker-thread count; `0` (the default) uses the machine's
@@ -292,19 +284,6 @@ impl RobustnessCampaign {
     #[must_use]
     pub fn with_chunk_size(mut self, chunk_size: u64) -> Self {
         self.chunk_size = chunk_size.max(1);
-        self
-    }
-
-    /// Sets the lane width of each worker's batched stepper (clamped to at
-    /// least 1; the default is 4): up to this many consecutive scenarios of
-    /// a chunk are packed into the lanes of one `BatchStepKernel` per
-    /// application and stepped together, one batched sweep per period.
-    /// Width 1 runs the scalar per-scenario engines instead. Like the worker
-    /// count and the chunk size, this is a throughput knob only — the
-    /// campaign result is bit-identical for any lane width.
-    #[must_use]
-    pub fn with_lane_width(mut self, lane_width: usize) -> Self {
-        self.lane_width = lane_width.max(1);
         self
     }
 
@@ -390,7 +369,6 @@ impl RobustnessCampaign {
         let chunk_count = total.div_ceil(chunk_size);
         let workers = self.effective_workers(total);
         let campaign_seed = self.seed;
-        let lane_width = self.lane_width;
 
         let cursor = AtomicU64::new(0);
         let stop = AtomicBool::new(false);
@@ -407,18 +385,7 @@ impl RobustnessCampaign {
                 let fleet = &self.fleet;
                 let cancel = &self.cancel;
                 scope.spawn(move || {
-                    // Lane width > 1 steps the chunk's scenarios through one
-                    // lane-batched engine; width 1 keeps the scalar
-                    // per-scenario engine. Both produce bit-identical chunk
-                    // metrics.
-                    let engine = if lane_width > 1 {
-                        BatchCoSim::from_fleet(fleet, lane_width).map(|batch| {
-                            WorkerEngine::Batched(batch, Vec::with_capacity(lane_width))
-                        })
-                    } else {
-                        fleet.engine().map(|engine| WorkerEngine::Scalar(Box::new(engine)))
-                    };
-                    let mut engine = match engine {
+                    let mut engine = match fleet.engine() {
                         Ok(engine) => engine,
                         Err(error) => {
                             // Attribute the failure to the chunk this worker
@@ -543,20 +510,13 @@ impl RobustnessCampaign {
     }
 }
 
-/// One worker's simulation backend: the scalar reset-and-rerun engine, or
-/// the lane-batched engine plus its reusable per-group scenario buffer.
-enum WorkerEngine {
-    Scalar(Box<CoSimulation>),
-    Batched(BatchCoSim, Vec<CampaignScenario>),
-}
-
 /// Runs one claimed chunk (`start..end`) through the worker's engine,
 /// pushing one [`ScenarioMetrics`] per scenario in index order. Returns the
 /// first failure in scenario order (cancellation, invalid scenario
 /// parameters, or an engine error), leaving `results` partial.
 #[allow(clippy::too_many_arguments)]
 fn run_chunk<S: ScenarioSource + ?Sized>(
-    engine: &mut WorkerEngine,
+    engine: &mut CoSimulation,
     metrics: &mut RunMetrics,
     source: &S,
     families: usize,
@@ -566,71 +526,33 @@ fn run_chunk<S: ScenarioSource + ?Sized>(
     cancel: &Option<cps_sched::CancelToken>,
     results: &mut Vec<ScenarioMetrics>,
 ) -> Option<CoreError> {
-    match engine {
-        WorkerEngine::Scalar(engine) => {
-            for index in start..end {
-                // Scenario-boundary cancellation checkpoint: a fired
-                // deadline token ends the campaign with the first cut
-                // attributed in scenario order.
-                if cancel.as_ref().is_some_and(|token| token.is_cancelled()) {
-                    return Some(CoreError::Cancelled);
-                }
-                // A fresh default each time (Copy, stack-only): sources
-                // never see a previous scenario's fields.
-                let mut scenario = CampaignScenario::default();
-                source.generate(index, SimRng::derive(campaign_seed, index), &mut scenario);
-                match run_scenario(engine, families, &scenario, metrics) {
-                    Ok(outcome) => results.push(outcome),
-                    Err(error) => return Some(error),
-                }
-            }
-            None
+    for index in start..end {
+        // Scenario-boundary cancellation checkpoint: a fired deadline token
+        // ends the campaign with the first cut attributed in scenario order.
+        if cancel.as_ref().is_some_and(|token| token.is_cancelled()) {
+            return Some(CoreError::Cancelled);
         }
-        WorkerEngine::Batched(batch, lane_scenarios) => {
-            let lanes = batch.lanes() as u64;
-            let mut index = start;
-            while index < end {
-                let group_end = (index + lanes).min(end);
-                batch.clear();
-                lane_scenarios.clear();
-                for i in index..group_end {
-                    if cancel.as_ref().is_some_and(|token| token.is_cancelled()) {
-                        return Some(CoreError::Cancelled);
-                    }
-                    let mut scenario = CampaignScenario::default();
-                    source.generate(i, SimRng::derive(campaign_seed, i), &mut scenario);
-                    if let Err(error) = validate_scenario(&scenario, families) {
-                        return Some(error);
-                    }
-                    let lane = lane_scenarios.len();
-                    if let Err(error) = batch.load_campaign_lane(lane, &scenario) {
-                        return Some(error);
-                    }
-                    lane_scenarios.push(scenario);
-                }
-                if let Err(error) = batch.run_loaded() {
-                    return Some(error);
-                }
-                for (lane, scenario) in lane_scenarios.iter().enumerate() {
-                    batch.lane_metrics_into(lane, metrics);
-                    results.push(ScenarioMetrics {
-                        family: scenario.family,
-                        settling: metrics.max_response_time(),
-                        deadline_met: metrics.all_deadlines_met(),
-                        peak: metrics.max_peak_norm(),
-                        tt_share: metrics.tt_share(),
-                    });
-                }
-                index = group_end;
-            }
-            None
+        // A fresh default each time (Copy, stack-only): sources never see a
+        // previous scenario's fields.
+        let mut scenario = CampaignScenario::default();
+        source.generate(index, SimRng::derive(campaign_seed, index), &mut scenario);
+        match run_scenario(engine, families, &scenario, metrics) {
+            Ok(outcome) => results.push(outcome),
+            Err(error) => return Some(error),
         }
     }
+    None
 }
 
-/// The scenario-parameter validation both the scalar and the batched paths
-/// apply, in the same order, before touching an engine.
-fn validate_scenario(scenario: &CampaignScenario, families: usize) -> Result<()> {
+/// Runs one generated scenario on a warm engine, after validating its
+/// parameters. Between the engine's and the metrics' reused buffers, a warm
+/// call allocates nothing.
+fn run_scenario(
+    engine: &mut CoSimulation,
+    families: usize,
+    scenario: &CampaignScenario,
+    metrics: &mut RunMetrics,
+) -> Result<ScenarioMetrics> {
     if scenario.family >= families {
         return Err(CoreError::InvalidConfig {
             reason: format!(
@@ -652,18 +574,6 @@ fn validate_scenario(scenario: &CampaignScenario, families: usize) -> Result<()>
             reason: format!("duration must be finite and positive, got {}", scenario.duration),
         });
     }
-    Ok(())
-}
-
-/// Runs one generated scenario on a warm engine. Between the engine's and
-/// the metrics' reused buffers, a warm call allocates nothing.
-fn run_scenario(
-    engine: &mut CoSimulation,
-    families: usize,
-    scenario: &CampaignScenario,
-    metrics: &mut RunMetrics,
-) -> Result<ScenarioMetrics> {
-    validate_scenario(scenario, families)?;
     engine.reset()?;
     engine.set_threshold_scale(scenario.threshold_scale)?;
     engine.set_fault_model(scenario.fault)?;
@@ -929,23 +839,6 @@ mod tests {
             .unwrap();
         let without = RobustnessCampaign::new(fleet(), 5).with_workers(2).run(&sweep).unwrap();
         assert_eq!(with_token, without);
-    }
-
-    #[test]
-    fn lane_width_does_not_change_the_result() {
-        let base = RobustnessCampaign::new(fleet(), 17).with_workers(2).with_chunk_size(5);
-        // Faults + noise + storms force lane divergence (hold-last-command
-        // and mode switches at different steps per lane); chunk size 5 with
-        // width 4 exercises ragged remainder groups.
-        let sweep = RobustnessSweep::new(vec![0.1, 0.5], 6, 1.0)
-            .with_disturbance_range(0.8, 1.6)
-            .with_sensor_noise(0.01)
-            .with_storm(0.3, 0.7);
-        let scalar = base.clone().with_lane_width(1).run(&sweep).unwrap();
-        for lanes in [2, 3, 4, 8] {
-            let batched = base.clone().with_lane_width(lanes).run(&sweep).unwrap();
-            assert_eq!(scalar, batched, "lane width {lanes} changed the campaign result");
-        }
     }
 
     #[test]

@@ -133,7 +133,7 @@ impl DegradationConfig {
         self
     }
 
-    pub(crate) fn validate(&self) -> Result<()> {
+    fn validate(&self) -> Result<()> {
         if !(self.sensor_noise >= 0.0) || !self.sensor_noise.is_finite() {
             return Err(CoreError::InvalidConfig {
                 reason: format!(
@@ -188,7 +188,7 @@ pub struct RunMetrics {
     pub bus: BusStatistics,
     /// Online settling candidates (scratch for the streaming settling-time
     /// computation).
-    pub(crate) candidates: Vec<usize>,
+    candidates: Vec<usize>,
 }
 
 impl RunMetrics {
@@ -223,7 +223,7 @@ impl RunMetrics {
 
     /// Resizes every per-application series to `app_count` and zeroes the
     /// contents (no allocation once the capacity is warm).
-    pub(crate) fn begin(&mut self, app_count: usize, period: f64) {
+    fn begin(&mut self, app_count: usize, period: f64) {
         self.steps = 0;
         self.period = period;
         self.response_times.clear();
@@ -252,7 +252,7 @@ const CONTROL_FRAME_PAYLOAD: usize = 2;
 /// moved into its TT slot on demand; used by engine construction *and* by
 /// per-scenario bus rebuilds, so an overridden-then-restored bus is
 /// registered identically to the original.
-pub(crate) fn register_fleet_frames(bus: &mut FlexRayBus, apps: &[ControlApplication]) -> Result<()> {
+fn register_fleet_frames(bus: &mut FlexRayBus, apps: &[ControlApplication]) -> Result<()> {
     for (index, app) in apps.iter().enumerate() {
         bus.register_frame(Frame::dynamic(index as u32 + 1, app.name(), CONTROL_FRAME_PAYLOAD)?)?;
     }
@@ -627,14 +627,22 @@ impl CoSimulation {
             // the dynamic segment.
             let frame_id = index as u32 + 1;
             let segment = match mode {
-                CommunicationMode::TimeTriggered => Segment::Static {
-                    slot: self
+                CommunicationMode::TimeTriggered => {
+                    // The runtime grants TT mode only together with a slot,
+                    // so a grant without a held slot is an engine fault.
+                    let slot = self
                         .runtime
                         .slot_holders()
                         .iter()
                         .position(|holder| *holder == Some(index))
-                        .unwrap_or(0),
-                },
+                        .ok_or_else(|| CoreError::InvalidConfig {
+                            reason: format!(
+                                "application {index} was granted TT mode without holding \
+                                 a static slot"
+                            ),
+                        })?;
+                    Segment::Static { slot }
+                }
                 CommunicationMode::EventTriggered => Segment::Dynamic,
             };
             // Reassignment can fail only transiently when two apps swap a

@@ -33,7 +33,9 @@
 //!    greedy incumbent, the exact search and the fleet's cached table).
 //! 7. [`CoSimulation`] — plant/runtime/FlexRay co-simulation reproducing the
 //!    responses of Figure 5, running on allocation-free
-//!    [`cps_control::StepKernel`]s with `reset()`-and-rerun support.
+//!    [`cps_control::StepKernel`]s with `reset()`-and-rerun support. It is
+//!    the one per-period engine: every scenario of a [`ScenarioBatch`] and
+//!    a [`RobustnessCampaign`] runs through it.
 //! 8. [`ScenarioBatch`] — batched, parallel multi-scenario co-simulation
 //!    for disturbance / threshold / per-app-disturbance / slot-map /
 //!    bus-configuration sweeps, deterministic across thread counts.
@@ -69,7 +71,6 @@
 #![forbid(unsafe_code)]
 
 mod application;
-mod batch;
 mod campaign;
 mod characterize;
 mod cosim;

@@ -377,6 +377,44 @@ mod tests {
     }
 
     #[test]
+    fn every_tt_grant_holds_a_slot() {
+        // Three apps share slot 0, two share slot 1 and one has no slot;
+        // norms drawn around the thresholds drive every phase transition.
+        let apps = [Some(0), Some(1), Some(0), Some(1), Some(0), None]
+            .into_iter()
+            .enumerate()
+            .map(|(index, slot)| RuntimeApp {
+                name: format!("app{index}"),
+                threshold: 0.1,
+                slot,
+                priority: (index % 4) as f64,
+            })
+            .collect();
+        let mut runtime = AllocationRuntime::new(apps, 2).unwrap();
+        let mut rng = cps_flexray::SimRng::seeded(7);
+        let mut norms = vec![0.0; 6];
+        let mut modes = Vec::new();
+        let mut grants = 0;
+        for _ in 0..2000 {
+            for norm in &mut norms {
+                *norm = 0.2 * rng.next_unit();
+            }
+            runtime.step_into(&norms, &mut modes).unwrap();
+            for (index, mode) in modes.iter().enumerate() {
+                if *mode == CommunicationMode::TimeTriggered {
+                    grants += 1;
+                    assert!(
+                        runtime.slot_holders().contains(&Some(index)),
+                        "app {index} runs TT without holding a slot: {:?}",
+                        runtime.slot_holders()
+                    );
+                }
+            }
+        }
+        assert!(grants > 1000, "only {grants} TT grants: the sequence barely exercises the slots");
+    }
+
+    #[test]
     fn validation() {
         assert!(AllocationRuntime::new(
             vec![RuntimeApp { name: "x".into(), threshold: 0.1, slot: Some(3), priority: 1.0 }],

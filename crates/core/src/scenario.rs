@@ -10,21 +10,14 @@
 //! construction costs are paid once per thread rather than once per
 //! scenario, and every step inside is an allocation-free kernel step.
 //!
-//! Inside a chunk, runs of consecutive scenarios without bus-config or
-//! slot-map overrides are packed into the lanes of a batched engine
-//! (`crate::batch::BatchCoSim`) and stepped together — one batched kernel
-//! sweep per period across all packed scenarios
-//! ([`ScenarioBatch::with_lane_width`]).
-//!
-//! Determinism: each scenario is simulated from a full reset (or a freshly
-//! reset lane), so its [`ScenarioOutcome`] depends only on its spec.
-//! Scenarios are partitioned into contiguous index chunks and results are
-//! stitched back in input order, which makes the output independent of the
-//! worker count *and* the lane width — properties the test suite asserts.
+//! Determinism: each scenario is simulated from a full reset, so its
+//! [`ScenarioOutcome`] depends only on its spec. Scenarios are partitioned
+//! into contiguous index chunks and results are stitched back in input
+//! order, which makes the output independent of the worker count — a
+//! property the test suite asserts.
 
 use crate::application::ControlApplication;
-use crate::batch::BatchCoSim;
-use crate::cosim::{CoSimTrace, CoSimulation, RunMetrics};
+use crate::cosim::{CoSimTrace, CoSimulation};
 use crate::error::{CoreError, Result};
 use crate::fleet::DesignedFleet;
 use cps_control::CommunicationMode;
@@ -510,24 +503,6 @@ pub struct ScenarioOutcome {
 }
 
 impl ScenarioOutcome {
-    /// The lane-batched twin of [`ScenarioOutcome::from_trace`], fed from
-    /// the online metrics instead of a materialised trace. Every field is
-    /// bit-identical: the metrics path computes the same response times,
-    /// pre-step peak norms, TT-period counts and bus counters the trace
-    /// extraction folds out of the recorded points.
-    fn from_metrics(index: usize, label: String, metrics: &RunMetrics) -> Self {
-        ScenarioOutcome {
-            index,
-            label,
-            all_deadlines_met: metrics.all_deadlines_met(),
-            response_times: metrics.response_times.clone(),
-            peak_norms: metrics.peak_norms.clone(),
-            tt_periods: metrics.tt_periods.iter().map(|&periods| periods as usize).collect(),
-            static_transmissions: metrics.bus.static_transmissions,
-            dynamic_transmissions: metrics.bus.dynamic_transmissions,
-        }
-    }
-
     fn from_trace(index: usize, label: String, trace: &CoSimTrace) -> Self {
         ScenarioOutcome {
             index,
@@ -581,7 +556,6 @@ impl ScenarioOutcome {
 pub struct ScenarioBatch {
     fleet: Arc<DesignedFleet>,
     threads: usize,
-    lane_width: usize,
 }
 
 impl ScenarioBatch {
@@ -608,7 +582,7 @@ impl ScenarioBatch {
     /// Propagates engine-construction failures.
     pub fn from_fleet(fleet: Arc<DesignedFleet>) -> Result<Self> {
         fleet.engine()?;
-        Ok(ScenarioBatch { fleet, threads: 0, lane_width: 4 })
+        Ok(ScenarioBatch { fleet, threads: 0 })
     }
 
     /// The shared fleet design the batch fans out.
@@ -621,20 +595,6 @@ impl ScenarioBatch {
     /// setting.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
-        self
-    }
-
-    /// Sets the lane width of each worker's batched stepper (clamped to at
-    /// least 1; the default is 4): runs of consecutive scenarios without
-    /// bus-config or slot-map overrides are packed into the lanes of one
-    /// [`cps_control::BatchStepKernel`] per application and stepped
-    /// together; scenarios carrying overrides take the scalar path. Width 1
-    /// disables packing entirely. Like the thread count, this is a
-    /// throughput knob only — the outcomes are bit-identical for any lane
-    /// width.
-    #[must_use]
-    pub fn with_lane_width(mut self, lane_width: usize) -> Self {
-        self.lane_width = lane_width.max(1);
         self
     }
 
@@ -666,9 +626,7 @@ impl ScenarioBatch {
         }
         let workers = self.effective_threads(scenarios.len());
         if workers == 1 {
-            let mut outcomes = Vec::with_capacity(scenarios.len());
-            run_chunk(&self.fleet, self.lane_width, 0, scenarios, &mut outcomes)?;
-            return Ok(outcomes);
+            return run_chunk(&self.fleet, 0, scenarios);
         }
 
         // Contiguous chunks keep the output order (and therefore the result)
@@ -681,13 +639,7 @@ impl ScenarioBatch {
                     .enumerate()
                     .map(|(chunk_index, chunk)| {
                         let base = chunk_index * chunk_size;
-                        scope.spawn(move || {
-                            // Worker start-up: mutable scratch only, the
-                            // design is shared through the Arc.
-                            let mut outcomes = Vec::with_capacity(chunk.len());
-                            run_chunk(&self.fleet, self.lane_width, base, chunk, &mut outcomes)?;
-                            Ok(outcomes)
-                        })
+                        scope.spawn(move || run_chunk(&self.fleet, base, chunk))
                     })
                     .collect();
                 handles
@@ -704,74 +656,24 @@ impl ScenarioBatch {
     }
 }
 
-/// `true` if the spec can share a lane group: lane contexts run on the
-/// fleet's designed bus and slot map, so only override-free specs pack
-/// (per-lane disturbance scales/vectors, thresholds and durations are fine).
-fn lane_compatible(spec: &ScenarioSpec) -> bool {
-    spec.bus_config.is_none() && spec.allocation.is_none()
-}
-
-/// Runs one worker's contiguous chunk: maximal runs of consecutive
-/// lane-compatible specs are packed into the batched engine (built lazily,
-/// once per worker) and stepped together; specs carrying bus/slot overrides
-/// run on the scalar engine. Outcomes land in `out` in input order, and the
-/// first error in scenario order aborts the chunk — exactly the scalar
-/// semantics.
+/// Runs one worker's contiguous chunk on a single engine — mutable scratch
+/// only, the design is shared through the [`Arc`] — resetting it between
+/// scenarios. Outcomes come back in input order; the first error in scenario
+/// order aborts the chunk.
 fn run_chunk(
     fleet: &Arc<DesignedFleet>,
-    lane_width: usize,
     base: usize,
     specs: &[ScenarioSpec],
-    out: &mut Vec<ScenarioOutcome>,
-) -> Result<()> {
-    let mut engine: Option<CoSimulation> = None;
-    let mut batch: Option<BatchCoSim> = None;
-    let mut metrics = RunMetrics::default();
-    let mut offset = 0;
-    while offset < specs.len() {
-        if lane_width > 1 && lane_compatible(&specs[offset]) {
-            let mut group_len = 1;
-            while group_len < lane_width
-                && offset + group_len < specs.len()
-                && lane_compatible(&specs[offset + group_len])
-            {
-                group_len += 1;
-            }
-            let group = &specs[offset..offset + group_len];
-            if batch.is_none() {
-                batch = Some(BatchCoSim::from_fleet(fleet, lane_width)?);
-            }
-            let batch = batch.as_mut().expect("just initialised");
-            batch.clear();
-            for (lane, spec) in group.iter().enumerate() {
-                validate_spec(spec)?;
-                batch.load_scenario_lane(lane, spec)?;
-            }
-            batch.run_loaded()?;
-            for (lane, spec) in group.iter().enumerate() {
-                batch.lane_metrics_into(lane, &mut metrics);
-                out.push(ScenarioOutcome::from_metrics(
-                    base + offset + lane,
-                    spec.label.clone(),
-                    &metrics,
-                ));
-            }
-            offset += group_len;
-        } else {
-            if engine.is_none() {
-                engine = Some(fleet.engine()?);
-            }
-            let engine = engine.as_mut().expect("just initialised");
-            out.push(run_one(engine, base + offset, &specs[offset])?);
-            offset += 1;
-        }
-    }
-    Ok(())
+) -> Result<Vec<ScenarioOutcome>> {
+    let mut engine = fleet.engine()?;
+    specs
+        .iter()
+        .enumerate()
+        .map(|(offset, spec)| run_one(&mut engine, base + offset, spec))
+        .collect()
 }
 
-/// The spec validation both the scalar and the lane-batched paths apply, in
-/// the same order, before touching an engine.
-fn validate_spec(spec: &ScenarioSpec) -> Result<()> {
+fn run_one(engine: &mut CoSimulation, index: usize, spec: &ScenarioSpec) -> Result<ScenarioOutcome> {
     if !(spec.disturbance_scale.is_finite()) || spec.disturbance_scale < 0.0 {
         return Err(CoreError::InvalidConfig {
             reason: format!(
@@ -788,11 +690,6 @@ fn validate_spec(spec: &ScenarioSpec) -> Result<()> {
             ),
         });
     }
-    Ok(())
-}
-
-fn run_one(engine: &mut CoSimulation, index: usize, spec: &ScenarioSpec) -> Result<ScenarioOutcome> {
-    validate_spec(spec)?;
     engine.reset()?;
     // The engine is reused across scenarios, so the bus configuration and
     // slot map must be (re)applied every time: the override if present, else
@@ -821,35 +718,6 @@ mod tests {
         let allocation =
             cps_sched::allocate_slots(&table, &cps_sched::AllocatorConfig::default()).unwrap();
         ScenarioBatch::new(apps, allocation, FlexRayConfig::paper_case_study()).unwrap()
-    }
-
-    #[test]
-    fn lane_width_does_not_change_the_outcomes() {
-        let batch = batch();
-        let apps = case_study::derived_fleet().unwrap();
-        let table = case_study::derive_table(&apps).unwrap();
-        let allocation =
-            cps_sched::allocate_slots(&table, &cps_sched::AllocatorConfig::default()).unwrap();
-        // A mixed list: laneable grid points interrupted mid-stream by a
-        // slot-map override (scalar path), so packing has to split groups
-        // and re-pack ragged remainders around it.
-        let mut scenarios = ScenarioSpec::grid(&[0.6, 1.0, 1.4], &[0.9, 1.1], 1.0);
-        scenarios.insert(3, ScenarioSpec::nominal(1.0).with_allocation(allocation));
-        let scalar = batch.clone().with_lane_width(1).run(&scenarios).unwrap();
-        for lanes in [2, 3, 4, 8] {
-            for threads in [1, 2] {
-                let outcomes = batch
-                    .clone()
-                    .with_lane_width(lanes)
-                    .with_threads(threads)
-                    .run(&scenarios)
-                    .unwrap();
-                assert_eq!(
-                    scalar, outcomes,
-                    "lane width {lanes} × {threads} threads changed the outcomes"
-                );
-            }
-        }
     }
 
     #[test]

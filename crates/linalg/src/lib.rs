@@ -17,10 +17,7 @@
 //! * [`matvec_kernel_n`] / [`matmul_kernel_n`] / [`axpy_n`] — const-generic
 //!   unrolled twins of the dynamic kernels for the 2–6 state dimensions the
 //!   case study actually has ([`matvec_kernel_dyn`] dispatches at run time),
-//!   plus the lane-batched family ([`matvec_lanes_kernel`],
-//!   [`matvec_lanes_kernel_k`], [`matvec_lane_strided`]) that steps K packed
-//!   scenarios per instruction stream — all bit-identical to the dynamic
-//!   tier by construction.
+//!   bit-identical to the dynamic tier by construction.
 //! * [`Lu`] / [`solve`] / [`inverse`] / [`determinant`] — LU factorisation
 //!   with partial pivoting.
 //! * [`Qr`] / [`polyfit`] — Householder QR and least-squares fitting.
@@ -77,7 +74,4 @@ pub use riccati::{
     dlqr, dlqr_with, solve_dare, solve_dare_in_place, solve_dare_reference, solve_dare_with,
     DareOptions, LqrSolution, RiccatiWorkspace,
 };
-pub use specialized::{
-    axpy_n, matmul_kernel_n, matvec_kernel_dyn, matvec_kernel_n, matvec_lane_strided,
-    matvec_lane_strided_n, matvec_lanes_kernel, matvec_lanes_kernel_k, matvec_lanes_kernel_nk,
-};
+pub use specialized::{axpy_n, matmul_kernel_n, matvec_kernel_dyn, matvec_kernel_n};

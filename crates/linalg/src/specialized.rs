@@ -1,42 +1,21 @@
-//! Const-generic and lane-batched specialisations of the dense kernels.
+//! Const-generic specialisations of the dense kernels.
 //!
 //! The dynamic kernels in [`crate::Matrix`] ([`Matrix::matvec_kernel`],
 //! [`Matrix::matmul_kernel`], [`crate::axpy`]) serve every shape; this module
-//! adds two families tuned for the 2–6 state dimensions every fused
-//! simulation kernel in the workspace actually has:
-//!
-//! 1. **Const-generic square kernels** — [`matvec_kernel_n`],
-//!    [`matmul_kernel_n`] and [`axpy_n`] take the dimension as a
-//!    compile-time `N`, so the compiler fully unrolls the loops and keeps
-//!    the accumulators in registers. They are instantiated for `N = 2..=6`
-//!    by the dispatchers ([`matvec_kernel_dyn`]); any other dimension falls
-//!    back to the dynamic loop.
-//! 2. **Lane-batched kernels** — [`matvec_lanes_kernel`] steps `K`
-//!    independent state vectors at once by treating the packed states as an
-//!    `N×K` matrix (`x[i * lanes + l]` holds state `i` of lane `l`): one
-//!    `A·X` matmul per step instead of `K` matvecs, giving the CPU `K`
-//!    independent accumulator chains per instruction stream with inner
-//!    loops over contiguous lanes that autovectorise. The lane widths 4, 8
-//!    and 16 are specialised ([`matvec_lanes_kernel_k`]), and for the case-study
-//!    dimensions 2..=6 they dispatch further to the register-tiled
-//!    [`matvec_lanes_kernel_nk`] instantiations (both extents compile-time:
-//!    one `[f64; K]` accumulator tile per row, a single pass over the packed
-//!    states); ragged remainders take the dynamic-width path.
-//!    [`matvec_lane_strided`] steps a *single* lane of a packed state in
-//!    place — the scalar peel-off path for lanes that diverge (mode switch,
-//!    hold-last-command) from their batch — gathering the lane column into a
-//!    register block and dispatching dimensions 2..=6 to the unrolled
-//!    [`matvec_lane_strided_n`] instantiations.
+//! adds square kernels tuned for the 2–6 state dimensions every fused
+//! simulation kernel in the workspace actually has. [`matvec_kernel_n`],
+//! [`matmul_kernel_n`] and [`axpy_n`] take the dimension as a compile-time
+//! `N`, so the compiler fully unrolls the loops and keeps the accumulators
+//! in registers. They are instantiated for `N = 2..=6` by the dispatcher
+//! ([`matvec_kernel_dyn`]); any other dimension falls back to the dynamic
+//! loop.
 //!
 //! # Bit-identity
 //!
 //! Every kernel here accumulates each output element with a single running
 //! sum in ascending-`k` order starting from `0.0` — exactly the order of
-//! [`Matrix::matvec_kernel`] and [`Matrix::matmul_kernel`]. Column `l` of a
-//! lane-batched product is therefore **bit-identical** to the scalar matvec
-//! of that lane's state, and peeling a lane off to [`matvec_lane_strided`]
-//! never changes its trajectory. Batching is purely an instruction-stream
-//! optimisation; it can never change a result.
+//! [`Matrix::matvec_kernel`] and [`Matrix::matmul_kernel`] — so the
+//! specialisations can never change a result.
 //!
 //! [`Matrix::matvec_kernel`]: crate::Matrix::matvec_kernel
 //! [`Matrix::matmul_kernel`]: crate::Matrix::matmul_kernel
@@ -130,175 +109,6 @@ pub fn matvec_kernel_dyn(dim: usize, a: &[f64], x: &[f64], out: &mut [f64]) {
     }
 }
 
-/// Lane-batched `out = a * x` with compile-time dimension `N` *and* lane
-/// count `K` — the fully specialised tier.
-///
-/// With both extents known the accumulator block is a `[f64; K]` register
-/// tile per output row: one pass over `x`, one store per output element,
-/// no intermediate traffic through `out`. Each element is still a single
-/// running sum in ascending-`k` order from `0.0`, so column `l` stays
-/// bit-identical to the scalar matvec of lane `l`.
-#[inline]
-pub fn matvec_lanes_kernel_nk<const N: usize, const K: usize>(
-    a: &[f64],
-    x: &[f64],
-    out: &mut [f64],
-) {
-    debug_assert_eq!(a.len(), N * N, "matvec_lanes_kernel_nk: matrix length");
-    debug_assert_eq!(x.len(), N * K, "matvec_lanes_kernel_nk: input length");
-    debug_assert_eq!(out.len(), N * K, "matvec_lanes_kernel_nk: output length");
-    for (a_row, out_row) in a.chunks_exact(N).zip(out.chunks_exact_mut(K)) {
-        let mut acc = [0.0_f64; K];
-        for (aik, x_row) in a_row.iter().zip(x.chunks_exact(K)) {
-            for (slot, b) in acc.iter_mut().zip(x_row) {
-                *slot += aik * b;
-            }
-        }
-        out_row.copy_from_slice(&acc);
-    }
-}
-
-/// Lane-batched `out = a * x` with a compile-time lane count `K`.
-///
-/// `a` is `dim×dim` row-major; `x` and `out` are `dim×K` packed states
-/// (`x[i * K + l]` = state `i` of lane `l`). The inner loop runs over the
-/// `K` contiguous lanes of one state row — `K` independent accumulator
-/// chains the compiler unrolls and autovectorises. Dimensions 2..=6 (every
-/// augmented order in the case study) additionally hit the register-tiled
-/// [`matvec_lanes_kernel_nk`] instantiations. Column `l` of the result is
-/// bit-identical to the scalar matvec of lane `l` on every path.
-#[inline]
-pub fn matvec_lanes_kernel_k<const K: usize>(dim: usize, a: &[f64], x: &[f64], out: &mut [f64]) {
-    debug_assert_eq!(a.len(), dim * dim, "matvec_lanes_kernel_k: matrix length");
-    debug_assert_eq!(x.len(), dim * K, "matvec_lanes_kernel_k: input length");
-    debug_assert_eq!(out.len(), dim * K, "matvec_lanes_kernel_k: output length");
-    match dim {
-        2 => matvec_lanes_kernel_nk::<2, K>(a, x, out),
-        3 => matvec_lanes_kernel_nk::<3, K>(a, x, out),
-        4 => matvec_lanes_kernel_nk::<4, K>(a, x, out),
-        5 => matvec_lanes_kernel_nk::<5, K>(a, x, out),
-        6 => matvec_lanes_kernel_nk::<6, K>(a, x, out),
-        _ => {
-            for (a_row, out_row) in a.chunks_exact(dim).zip(out.chunks_exact_mut(K)) {
-                out_row.fill(0.0);
-                for (aik, x_row) in a_row.iter().zip(x.chunks_exact(K)) {
-                    for (o, b) in out_row.iter_mut().zip(x_row) {
-                        *o += aik * b;
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Dynamic-width lane-batched `out = a * x` (the ragged-remainder path).
-///
-/// Semantics of [`matvec_lanes_kernel_k`] with the lane count decided at
-/// run time; lane widths 4 and 8 dispatch to the specialised
-/// instantiations. Column `l` stays bit-identical to the scalar matvec of
-/// lane `l` on every path.
-#[inline]
-pub fn matvec_lanes_kernel(dim: usize, a: &[f64], x: &[f64], lanes: usize, out: &mut [f64]) {
-    debug_assert_eq!(a.len(), dim * dim, "matvec_lanes_kernel: matrix length");
-    debug_assert_eq!(x.len(), dim * lanes, "matvec_lanes_kernel: input length");
-    debug_assert_eq!(out.len(), dim * lanes, "matvec_lanes_kernel: output length");
-    match lanes {
-        4 => matvec_lanes_kernel_k::<4>(dim, a, x, out),
-        8 => matvec_lanes_kernel_k::<8>(dim, a, x, out),
-        16 => matvec_lanes_kernel_k::<16>(dim, a, x, out),
-        _ => {
-            for (a_row, out_row) in a.chunks_exact(dim).zip(out.chunks_exact_mut(lanes)) {
-                out_row.fill(0.0);
-                for (aik, x_row) in a_row.iter().zip(x.chunks_exact(lanes)) {
-                    for (o, b) in out_row.iter_mut().zip(x_row) {
-                        *o += aik * b;
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Steps a single lane of a packed `dim×lanes` state with a compile-time
-/// dimension `N`: the specialised divergence peel-off path.
-///
-/// The lane's column is gathered into an `[f64; N]` register block first —
-/// `N` strided loads once, instead of `N` per output row — and the matvec
-/// then runs fully unrolled over contiguous data. Each output element is a
-/// single running sum in ascending-`k` order from `0.0` over the same lane
-/// values the strided loop reads, so the result is bit-identical to the
-/// dynamic [`matvec_lane_strided`] loop (and to the scalar
-/// [`matvec_kernel_n`] on the gathered column). Other lanes of `out` are
-/// left untouched.
-#[inline]
-pub fn matvec_lane_strided_n<const N: usize>(
-    a: &[f64],
-    x: &[f64],
-    lanes: usize,
-    lane: usize,
-    out: &mut [f64],
-) {
-    debug_assert_eq!(a.len(), N * N, "matvec_lane_strided_n: matrix length");
-    debug_assert_eq!(x.len(), N * lanes, "matvec_lane_strided_n: input length");
-    debug_assert_eq!(out.len(), N * lanes, "matvec_lane_strided_n: output length");
-    debug_assert!(lane < lanes, "matvec_lane_strided_n: lane index");
-    let mut col = [0.0_f64; N];
-    for (i, slot) in col.iter_mut().enumerate() {
-        *slot = x[i * lanes + lane];
-    }
-    for (a_row, slot) in a.chunks_exact(N).zip(out.iter_mut().skip(lane).step_by(lanes)) {
-        let mut acc = 0.0;
-        for (aik, xi) in a_row.iter().zip(&col) {
-            acc += aik * xi;
-        }
-        *slot = acc;
-    }
-}
-
-/// Steps a single lane of a packed `dim×lanes` state: the divergence
-/// peel-off path.
-///
-/// Reads column `lane` of `x` with stride `lanes`, multiplies by the
-/// `dim×dim` matrix `a`, and writes column `lane` of `out` — one running
-/// accumulator per output element in ascending-`k` order, so the lane's
-/// trajectory is bit-identical to stepping it through
-/// [`crate::Matrix::matvec_kernel`] (and therefore to the lane-batched
-/// kernels). Dimensions 2..=6 dispatch to the unrolled
-/// [`matvec_lane_strided_n`] instantiations. Other lanes of `out` are left
-/// untouched.
-#[inline]
-pub fn matvec_lane_strided(
-    dim: usize,
-    a: &[f64],
-    x: &[f64],
-    lanes: usize,
-    lane: usize,
-    out: &mut [f64],
-) {
-    debug_assert_eq!(a.len(), dim * dim, "matvec_lane_strided: matrix length");
-    debug_assert_eq!(x.len(), dim * lanes, "matvec_lane_strided: input length");
-    debug_assert_eq!(out.len(), dim * lanes, "matvec_lane_strided: output length");
-    debug_assert!(lane < lanes, "matvec_lane_strided: lane index");
-    match dim {
-        2 => matvec_lane_strided_n::<2>(a, x, lanes, lane, out),
-        3 => matvec_lane_strided_n::<3>(a, x, lanes, lane, out),
-        4 => matvec_lane_strided_n::<4>(a, x, lanes, lane, out),
-        5 => matvec_lane_strided_n::<5>(a, x, lanes, lane, out),
-        6 => matvec_lane_strided_n::<6>(a, x, lanes, lane, out),
-        _ => {
-            for (a_row, slot) in
-                a.chunks_exact(dim).zip(out.iter_mut().skip(lane).step_by(lanes))
-            {
-                let mut acc = 0.0;
-                for (aik, x_row) in a_row.iter().zip(x.chunks_exact(lanes)) {
-                    acc += aik * x_row[lane];
-                }
-                *slot = acc;
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -385,43 +195,5 @@ mod tests {
         check::<4>();
         check::<5>();
         check::<6>();
-    }
-
-    #[test]
-    fn lane_batched_columns_match_scalar_matvecs_bitwise() {
-        for dim in 2..=6 {
-            for lanes in 1..=9 {
-                let a = lcg_values((dim * 31 + lanes) as u64, dim * dim);
-                let packed = lcg_values((dim * 97 + lanes) as u64, dim * lanes);
-                let mut out = vec![0.0; dim * lanes];
-                matvec_lanes_kernel(dim, &a, &packed, lanes, &mut out);
-                for lane in 0..lanes {
-                    let x: Vec<f64> =
-                        (0..dim).map(|i| packed[i * lanes + lane]).collect();
-                    let expected = reference_matvec(dim, &a, &x);
-                    let column: Vec<f64> =
-                        (0..dim).map(|i| out[i * lanes + lane]).collect();
-                    assert_eq!(column, expected, "dim {dim}, lanes {lanes}, lane {lane}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn strided_single_lane_matches_the_batched_column_bitwise() {
-        // 2..=6 hit the unrolled instantiations, 7..=8 the dynamic fallback.
-        for dim in 2..=8 {
-            for lanes in 1..=8 {
-                let a = lcg_values((dim * 13 + lanes) as u64, dim * dim);
-                let packed = lcg_values((dim * 17 + lanes) as u64, dim * lanes);
-                let mut batched = vec![0.0; dim * lanes];
-                matvec_lanes_kernel(dim, &a, &packed, lanes, &mut batched);
-                let mut strided = vec![f64::NAN; dim * lanes];
-                for lane in 0..lanes {
-                    matvec_lane_strided(dim, &a, &packed, lanes, lane, &mut strided);
-                }
-                assert_eq!(strided, batched, "dim {dim}, lanes {lanes}");
-            }
-        }
     }
 }

@@ -48,6 +48,23 @@ fn stress_sweep() -> RobustnessSweep {
         .with_storm(0.3, 0.25)
 }
 
+/// A faulty sweep whose mode-switch storms re-disturb the whole fleet
+/// mid-run at a larger scale: threshold crossings, slot handovers and
+/// hold-last-command periods land at different steps in every scenario.
+fn stormy_sweep() -> RobustnessSweep {
+    RobustnessSweep::new(vec![0.0, 0.2, 0.6], 4, 1.0)
+        .with_disturbance_range(0.7, 1.5)
+        .with_burst(GilbertElliott {
+            degrade_probability: 0.2,
+            recover_probability: 0.4,
+            bad_drop_probability: 0.9,
+        })
+        .with_corruption(0.03)
+        .with_dynamic_contention(6)
+        .with_sensor_noise(0.02)
+        .with_storm(0.3, 0.6)
+}
+
 #[test]
 fn campaign_stats_are_bit_identical_across_worker_counts() {
     let sweep = stress_sweep();
@@ -66,6 +83,29 @@ fn campaign_stats_are_bit_identical_across_worker_counts() {
         // PartialEq over every accumulator — counts, Welford moments and the
         // order-sensitive P² marker state — must hold bit for bit.
         assert_eq!(stats, baseline, "worker count {workers} changed the campaign result");
+    }
+}
+
+/// The stormy faulty campaign folds into the exact same `CampaignStats` —
+/// Welford moments and the order-sensitive P² marker state included — for
+/// every worker count, although storms make every scenario switch modes at
+/// different steps.
+#[test]
+fn stormy_campaign_stats_are_bit_identical_across_worker_counts() {
+    let sweep = stormy_sweep();
+    let baseline = RobustnessCampaign::new(fleet(), 0xD1CE)
+        .with_workers(1)
+        .with_chunk_size(5)
+        .run(&sweep)
+        .expect("single-worker campaign");
+    assert_eq!(baseline.total, 12);
+    for workers in 2..=8 {
+        let stats = RobustnessCampaign::new(fleet(), 0xD1CE)
+            .with_workers(workers)
+            .with_chunk_size(5)
+            .run(&sweep)
+            .expect("multi-worker campaign");
+        assert_eq!(stats, baseline, "worker count {workers} changed the stormy campaign result");
     }
 }
 

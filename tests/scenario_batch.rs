@@ -1,10 +1,28 @@
-//! Acceptance test for the parallel scenario engine: at least 64 disturbance
+//! Acceptance tests for the parallel scenario engine: at least 64 disturbance
 //! scenarios fan out across worker threads and the results are deterministic
-//! and independent of the thread count.
+//! and independent of the thread count, for ragged scenario counts too
+//! (property-based).
 
-use automotive_cps::core::{case_study, ScenarioBatch, ScenarioSpec};
+use automotive_cps::core::{case_study, DesignedFleet, ScenarioBatch, ScenarioSpec};
 use automotive_cps::flexray::FlexRayConfig;
 use automotive_cps::sched::{allocate_slots, AllocatorConfig};
+use proptest::prelude::*;
+use std::sync::{Arc, OnceLock};
+
+/// A scenario-batch template over the derived fleet, designed once for the
+/// whole test binary.
+fn batch_template() -> &'static ScenarioBatch {
+    static BATCH: OnceLock<ScenarioBatch> = OnceLock::new();
+    BATCH.get_or_init(|| {
+        let fleet = DesignedFleet::design(
+            case_study::derived_fleet_specs(),
+            &AllocatorConfig::default(),
+            FlexRayConfig::paper_case_study(),
+        )
+        .expect("derived fleet designs");
+        ScenarioBatch::from_fleet(Arc::new(fleet)).expect("batch template")
+    })
+}
 
 #[test]
 fn sixty_four_scenarios_are_thread_count_independent() {
@@ -62,8 +80,6 @@ fn sixty_four_scenarios_are_thread_count_independent() {
 
 #[test]
 fn workers_share_one_designed_fleet_instead_of_cloning_applications() {
-    use std::sync::Arc;
-
     let apps = case_study::derived_fleet().expect("fleet design");
     let table = case_study::derive_table(&apps).expect("table derivation");
     let allocation = allocate_slots(&table, &AllocatorConfig::default()).expect("allocation");
@@ -90,4 +106,34 @@ fn workers_share_one_designed_fleet_instead_of_cloning_applications() {
     assert_eq!(Arc::strong_count(batch.fleet()), before + 1);
     drop(clone);
     assert_eq!(Arc::strong_count(batch.fleet()), before);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Ragged chunking: any scenario count (including counts that do not
+    /// divide evenly across the workers) and any thread count must
+    /// reproduce the single-thread outcomes exactly.
+    #[test]
+    fn ragged_scenario_counts_match_the_single_thread_run(
+        count in 2usize..14,
+        threads in 1usize..4,
+    ) {
+        let scenarios = ScenarioSpec::disturbance_sweep(0.3, 1.8, count, 0.5);
+        let serial = batch_template()
+            .clone()
+            .with_threads(1)
+            .run(&scenarios)
+            .expect("single-thread run");
+        let parallel = batch_template()
+            .clone()
+            .with_threads(threads)
+            .run(&scenarios)
+            .expect("multi-thread run");
+        prop_assert_eq!(
+            parallel, serial,
+            "{} threads × {} scenarios diverged",
+            threads, count
+        );
+    }
 }

@@ -1,23 +1,28 @@
-//! Proof that the kernel hot paths are allocation-free: a counting global
-//! allocator observes zero new allocations across hundreds of thousands of
-//! `StepKernel::step`s, norm reads, scaled disturbance injections and
-//! `AllocationRuntime::step_into` calls — across the lane-batched
-//! `BatchStepKernel` loop (packed injections, `step_lanes` with divergence
-//! peel-off, per-lane norms and `reset_lane` reloads) — across the characterization
-//! inner loop (`SwitchedKernel::dwell_steps` sweeps) after warm-up, both on
-//! a kernel's own buffers and on the per-worker pooled
-//! `CharacterizationWorkspace` scratch the fleet designer threads through
-//! its characterisation passes (where a warm characterisation's allocation
-//! count must not depend on its sweep length) — and across the branch-and-bound
-//! slot-allocation search: every inner node evaluation (streaming
-//! schedulability check plus demand and clique bounds) and the full
-//! `OptimalAllocator::solve_in_place` run on buffers sized at construction.
-//! The parallel portfolio gets the same proof in its single-worker
-//! configuration (`threads = 1` spawns nothing and drains the frontier
-//! inline, so the counted thread *is* the worker): frontier generation,
-//! the count search with live shared-incumbent updates, and the
-//! deterministic reconstruction pass are all allocation-free after the
-//! warm-up solve.
+//! Proof that the simulation, design and allocation hot paths are
+//! allocation-free: a counting global allocator observes zero new
+//! allocations, after warm-up, across
+//!
+//! * the kernel/runtime period loop — `StepKernel::step`s, norm reads,
+//!   scaled disturbance injections and `AllocationRuntime::step_into` calls;
+//! * the characterisation inner loop — `SwitchedKernel::dwell_steps` sweeps
+//!   on a kernel's own buffers and on the per-worker pooled
+//!   `CharacterizationWorkspace` scratch the fleet designer threads through
+//!   its characterisation passes (where a warm characterisation's
+//!   allocation count must not depend on its sweep length);
+//! * the branch-and-bound slot-allocation search — every inner node
+//!   evaluation (streaming schedulability check plus demand and clique
+//!   bounds) and the full `OptimalAllocator::solve_in_place` run on buffers
+//!   sized at construction. The parallel portfolio gets the same proof in
+//!   its single-worker configuration (`threads = 1` spawns nothing and
+//!   drains the frontier inline, so the counted thread *is* the worker):
+//!   frontier generation, the count search with live shared-incumbent
+//!   updates, and the deterministic reconstruction pass;
+//! * the fleet designer's steady-state solvers — the in-place DARE and
+//!   matrix exponential on pooled workspaces;
+//! * the streaming campaign's per-scenario loop on a warm `CoSimulation` —
+//!   reset, fault and degradation models, disturbance injection and
+//!   `run_metrics_into` under frame drops, bursts, corruption, contention,
+//!   sensor noise and mode-switch storms.
 //!
 //! This file must stay a single-test binary: the allocation counter is
 //! global to the process, and a concurrently running second test would
@@ -29,7 +34,7 @@
 //! intermittently produced 1–3 "stray" allocations before the counter was
 //! scoped per thread.
 
-use automotive_cps::control::{CharacterizationWorkspace, LaneStep, SwitchedKernel};
+use automotive_cps::control::{CharacterizationWorkspace, SwitchedKernel};
 use automotive_cps::core::{case_study, AllocationRuntime, ControlApplication, RuntimeApp};
 use automotive_cps::core::{CoSimulation, DegradationConfig, RunMetrics};
 use automotive_cps::flexray::{FaultModel, FlexRayConfig, GilbertElliott};
@@ -131,78 +136,6 @@ fn kernel_and_runtime_hot_paths_do_not_allocate() {
         after - before,
         0,
         "the kernel/runtime hot path performed {} heap allocations over 10k periods",
-        after - before
-    );
-
-    // Lane-batched kernel hot path: the warm batched loop a campaign worker
-    // drives — per-lane scaled disturbance packing, `step_lanes` sweeps with
-    // per-lane ops mixing every `LaneStep` variant (so both the uniform
-    // lane-batched matmul and the divergence peel-off to the strided scalar
-    // kernel run), per-lane norm aggregation, and `reset_lane` when a lane's
-    // scenario finishes. Construction (packed state buffers) may allocate;
-    // the loop must not. The const-generic dispatch of the scalar kernels
-    // above is selected at construction, so this section cannot regress the
-    // scalar proof either.
-    const LANES: usize = 4;
-    let mut batch_kernels: Vec<_> =
-        apps.iter().map(|app| app.kernel_matrices().batch_kernel(LANES)).collect();
-    let mut ops =
-        [LaneStep::EventTriggered, LaneStep::TimeTriggered, LaneStep::Hold, LaneStep::Skip];
-    // Warm-up: one divergent sweep and one uniform sweep per kernel.
-    for kernel in &mut batch_kernels {
-        kernel.step_lanes(&ops);
-        kernel.step_uniform(LaneStep::EventTriggered);
-    }
-
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
-    let mut batch_checksum = 0.0;
-    for round in 0..10_000usize {
-        if round % 256 == 0 {
-            for (kernel, disturbance) in batch_kernels.iter_mut().zip(&disturbances) {
-                for lane in 0..LANES {
-                    kernel
-                        .inject_lane_disturbance_scaled(
-                            lane,
-                            disturbance,
-                            1.0 + lane as f64 * 0.25,
-                        )
-                        .expect("lane inject");
-                }
-            }
-        }
-        // Three uniform periods for every divergent one, as a real campaign
-        // with occasional mode switches/holds would see.
-        if round % 4 == 3 {
-            ops = [
-                LaneStep::EventTriggered,
-                LaneStep::TimeTriggered,
-                LaneStep::Hold,
-                LaneStep::Skip,
-            ];
-        } else {
-            ops = [LaneStep::EventTriggered; LANES];
-        }
-        for kernel in &mut batch_kernels {
-            kernel.step_lanes(&ops);
-        }
-        for lane in 0..LANES {
-            batch_checksum += batch_kernels[0].lane_state_norm(lane);
-        }
-        if round % 2_500 == 2_499 {
-            // A lane's scenario finished: park it at the origin for reload.
-            for kernel in &mut batch_kernels {
-                kernel.reset_lane(round / 2_500 % LANES);
-            }
-        }
-    }
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
-
-    assert!(batch_checksum.is_finite());
-    assert_eq!(
-        after - before,
-        0,
-        "the lane-batched kernel hot path performed {} heap allocations over 10k \
-         batched periods",
         after - before
     );
 
