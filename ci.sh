@@ -203,6 +203,16 @@ if ! cargo test -q -p cps-flexray -- --list | grep "reference.*: test" > /dev/nu
     exit 1
 fi
 
+# The pruned dwell-model fit is pinned bit for bit to the exhaustive fit
+# kept under cfg(test) in crates/core/src/characterize/reference.rs; every
+# Table-I row the designer derives rests on that equivalence, so its parity
+# suite must stay collected.
+step "fit reference-equivalence suite is collected (cps-core)"
+if ! cargo test -q -p cps-core -- --list | grep "characterize::reference.*: test" > /dev/null; then
+    echo "ERROR: the cps-core fit reference-equivalence suite was skipped or is empty" >&2
+    exit 1
+fi
+
 # The scenario-batch suite carries the parallel scenario engine's
 # determinism contract (outcomes independent of the thread count, ragged
 # scenario counts included, as a proptest); same reasoning, same gate.

@@ -1,15 +1,18 @@
-//! Characterisation performance benchmark: the one-pass, early-exit
-//! dwell/wait sweep against the full-horizon reference path it replaced,
-//! and the design-layer split of one fleet characterisation pass into its
-//! sweep and its model fit.
+//! Characterisation performance benchmark, in two parts.
 //!
-//! Both sweep paths produce bit-identical curves — asserted here before
-//! timing — so the comparison is purely about the cost of fixed-horizon,
-//! per-wait-point allocating simulation versus scratch-buffer simulation
-//! that shares the ET prefix and stops on a provable tail bound. The
-//! `derived_fleet_pass` rung times what fleet design pays per six-app
-//! fleet (sweep + fit, one thread); `fit_non_monotonic` times the fit
-//! alone on the same six curves, so the sweep's share is their difference.
+//! The sweep: the one-pass, early-exit dwell/wait sweep against the
+//! full-horizon reference path it replaced, for the linear and the
+//! saturated loop. Both paths produce bit-identical curves (asserted here
+//! before timing), so the comparison is purely the cost of fixed-horizon,
+//! per-wait-point allocating simulation against scratch-buffer simulation
+//! that shares the ET prefix and stops on a provable tail bound.
+//!
+//! The design-layer split: `derived_fleet_pass` times what fleet design
+//! pays per six-app fleet (sweep + fit per app, one thread), and
+//! `fit_non_monotonic` times the pruned model fit alone on the same six
+//! curves, so the sweep's share is their difference. The fit's exhaustive
+//! O(P²) oracle is test-only (`cps-core`'s `characterize::reference`), so
+//! its cost is read from the perf history rather than timed here.
 
 use cps_control::{
     characterize_dwell_vs_wait, characterize_dwell_vs_wait_reference, CharacterizationConfig,

@@ -15,17 +15,16 @@
 //! as a smoke test, which CI uses.
 //!
 //! Machine-readable results: when the `CPS_BENCH_JSON` environment variable
-//! names a file, every measured benchmark merges its mean ns/iter into that
-//! file as a flat JSON object (`{"group/bench": ns, ...}`). When
-//! `CPS_BENCH_KEY` is additionally set (ci.sh exports `git describe
-//! --always --dirty`), results are nested one level deeper under that key
-//! (`{"<commit>": {"group/bench": ns, ...}, ...}`), turning the file into a
-//! per-commit performance *history*: re-running a commit upserts its own
-//! entries, new commits append, old commits are never touched. Legacy flat
-//! entries are preserved under the key `"unkeyed"`. Bench targets run as
-//! separate processes, so the file is re-read and re-written per result;
-//! `ci.sh perf` uses this to maintain `BENCH_results.json`, the
-//! repository's performance trajectory.
+//! names a file and `CPS_BENCH_KEY` names a history key (ci.sh exports
+//! `git describe --always --dirty`), every measured benchmark upserts its
+//! mean ns/iter into that file under the key
+//! (`{"<commit>": {"group/bench": ns, ...}, ...}`): a per-commit
+//! performance *history* in which re-running a commit upserts its own
+//! entries, new commits append and old commits are never touched. Without
+//! both variables nothing is recorded. Bench targets run as separate
+//! processes, so the file is re-read and re-written per result; `ci.sh perf`
+//! uses this to maintain `BENCH_results.json`, the repository's performance
+//! trajectory.
 
 use std::time::{Duration, Instant};
 
@@ -212,39 +211,33 @@ fn run_benchmark<F: FnMut(&mut Bencher)>(id: &str, settings: Settings, mut f: F)
     record_json_result(id, mean);
 }
 
-/// Merges `id -> mean_ns` into the JSON file named by `CPS_BENCH_JSON`
-/// (no-op when the variable is unset). With `CPS_BENCH_KEY` set, the entry
-/// is nested under that key (per-commit history); otherwise the file is the
-/// legacy flat map. The file is always rewritten in the exact format the
-/// merge functions produce, so re-reading it only has to parse
-/// `"key": value` / `"key": {` lines; benchmark ids and history keys never
-/// contain quotes or backslashes.
+/// Upserts `id -> mean_ns` under the history key `CPS_BENCH_KEY` in the
+/// JSON file named by `CPS_BENCH_JSON` (a no-op unless both are set). The
+/// file is always rewritten in the exact format [`merge_json_keyed`]
+/// produces, so re-reading it only has to parse `"key": value` /
+/// `"key": {` lines; benchmark ids and history keys never contain quotes
+/// or backslashes.
 fn record_json_result(id: &str, mean_ns: f64) {
-    let Ok(path) = std::env::var("CPS_BENCH_JSON") else { return };
-    if path.is_empty() {
+    let (Ok(path), Ok(key)) = (std::env::var("CPS_BENCH_JSON"), std::env::var("CPS_BENCH_KEY"))
+    else {
+        return;
+    };
+    if path.is_empty() || key.is_empty() {
         return;
     }
     let existing = std::fs::read_to_string(&path).unwrap_or_default();
-    let merged = match std::env::var("CPS_BENCH_KEY") {
-        Ok(key) if !key.is_empty() => merge_json_keyed(&existing, &key, id, mean_ns),
-        // No key, but the file already carries per-commit history: record
-        // under "unkeyed" rather than flattening (and thereby destroying)
-        // the committed trajectory.
-        _ if is_keyed(&existing) => merge_json_keyed(&existing, "unkeyed", id, mean_ns),
-        _ => merge_json(&existing, id, mean_ns),
-    };
-    let _ = std::fs::write(&path, merged);
+    match merge_json_keyed(&existing, &key, id, mean_ns) {
+        Some(merged) => {
+            let _ = std::fs::write(&path, merged);
+        }
+        None => eprintln!("{path} is not a keyed benchmark history; {id} not recorded"),
+    }
 }
 
-/// Whether the existing results file is in the keyed per-commit format.
-fn is_keyed(existing: &str) -> bool {
-    existing.lines().any(|line| line.trim().trim_end_matches(',').ends_with("\": {"))
-}
-
-/// Parses the (flat or keyed) line format the merge functions emit into
-/// `(history_key, bench_id, mean_ns)` triples; flat entries carry the key
-/// `"unkeyed"`.
-fn parse_entries(existing: &str) -> Vec<(String, String, f64)> {
+/// Parses the keyed line format [`merge_json_keyed`] emits into
+/// `(history_key, bench_id, mean_ns)` triples; `None` if an entry sits
+/// outside every history key (a flat map, which is not rewritten).
+fn parse_entries(existing: &str) -> Option<Vec<(String, String, f64)>> {
     let mut entries: Vec<(String, String, f64)> = Vec::new();
     let mut group: Option<String> = None;
     for line in existing.lines() {
@@ -259,39 +252,18 @@ fn parse_entries(existing: &str) -> Vec<(String, String, f64)> {
         if let Some((key, value)) = line.strip_prefix('"').and_then(|rest| rest.split_once("\": "))
         {
             if let Ok(ns) = value.trim().parse::<f64>() {
-                let group = group.clone().unwrap_or_else(|| "unkeyed".to_string());
-                entries.push((group, key.to_string(), ns));
+                entries.push((group.clone()?, key.to_string(), ns));
             }
         }
     }
-    entries
-}
-
-/// Pure merge step for the legacy flat map: upserts `id` and renders the
-/// updated JSON object. Only called on flat input —
-/// [`record_json_result`] routes keyed files through
-/// [`merge_json_keyed`] even when `CPS_BENCH_KEY` is unset.
-fn merge_json(existing: &str, id: &str, mean_ns: f64) -> String {
-    let mut entries: Vec<(String, f64)> =
-        parse_entries(existing).into_iter().map(|(_, key, ns)| (key, ns)).collect();
-    match entries.iter_mut().find(|(key, _)| key == id) {
-        Some(entry) => entry.1 = mean_ns,
-        None => entries.push((id.to_string(), mean_ns)),
-    }
-    let mut out = String::from("{\n");
-    for (index, (key, ns)) in entries.iter().enumerate() {
-        let separator = if index + 1 < entries.len() { "," } else { "" };
-        out.push_str(&format!("\"{key}\": {ns:.2}{separator}\n"));
-    }
-    out.push_str("}\n");
-    out
+    Some(entries)
 }
 
 /// Pure merge step for the keyed history: upserts `(history_key, id)`,
 /// preserving every other commit's entries and the first-seen order of both
-/// keys and benchmarks.
-fn merge_json_keyed(existing: &str, history_key: &str, id: &str, mean_ns: f64) -> String {
-    let mut entries = parse_entries(existing);
+/// keys and benchmarks. `None` if `existing` is not a keyed history.
+fn merge_json_keyed(existing: &str, history_key: &str, id: &str, mean_ns: f64) -> Option<String> {
+    let mut entries = parse_entries(existing)?;
     match entries.iter_mut().find(|(group, key, _)| group == history_key && key == id) {
         Some(entry) => entry.2 = mean_ns,
         None => entries.push((history_key.to_string(), id.to_string(), mean_ns)),
@@ -316,7 +288,7 @@ fn merge_json_keyed(existing: &str, history_key: &str, id: &str, mean_ns: f64) -
         out.push_str(&format!("}}{separator}\n"));
     }
     out.push_str("}\n");
-    out
+    Some(out)
 }
 
 fn format_ns(ns: f64) -> String {
@@ -373,46 +345,29 @@ mod tests {
     }
 
     #[test]
-    fn merge_json_upserts_and_roundtrips() {
-        let first = merge_json("", "group/bench", 123.456);
-        assert!(first.starts_with("{\n"));
-        assert!(first.contains("\"group/bench\": 123.46"));
-        // Upsert keeps one entry per id, adds new ones, preserves order.
-        let second = merge_json(&first, "other/bench", 9.0);
-        let third = merge_json(&second, "group/bench", 50.0);
-        assert!(third.contains("\"group/bench\": 50.00"));
-        assert!(third.contains("\"other/bench\": 9.00"));
-        assert_eq!(third.matches("group/bench").count(), 1);
-        assert!(third.find("group/bench").unwrap() < third.find("other/bench").unwrap());
-        // The output stays parseable by its own reader.
-        let fourth = merge_json(&third, "third", 1.0);
-        assert_eq!(fourth.lines().count(), 5); // {, 3 entries, }
-    }
-
-    #[test]
     fn merge_json_keyed_appends_history_and_upserts_within_a_key() {
         // First commit.
-        let a = merge_json_keyed("", "abc1234", "g/bench", 100.0);
+        let a = merge_json_keyed("", "abc1234", "g/bench", 100.0).unwrap();
         assert!(a.contains("\"abc1234\": {"));
         assert!(a.contains("\"g/bench\": 100.00"));
         // Second benchmark of the same commit.
-        let b = merge_json_keyed(&a, "abc1234", "g/other", 7.5);
+        let b = merge_json_keyed(&a, "abc1234", "g/other", 7.5).unwrap();
         assert_eq!(b.matches("abc1234").count(), 1);
         assert!(b.contains("\"g/other\": 7.50"));
         // A new commit appends; the old commit's entries survive untouched.
-        let c = merge_json_keyed(&b, "def5678", "g/bench", 90.0);
+        let c = merge_json_keyed(&b, "def5678", "g/bench", 90.0).unwrap();
         assert!(c.contains("\"abc1234\": {"));
         assert!(c.contains("\"def5678\": {"));
         assert!(c.contains("\"g/bench\": 100.00"));
         assert!(c.contains("\"g/bench\": 90.00"));
         assert!(c.find("abc1234").unwrap() < c.find("def5678").unwrap());
         // Re-running a commit upserts only its own entry.
-        let d = merge_json_keyed(&c, "abc1234", "g/bench", 110.0);
+        let d = merge_json_keyed(&c, "abc1234", "g/bench", 110.0).unwrap();
         assert!(d.contains("\"g/bench\": 110.00"));
         assert!(d.contains("\"g/bench\": 90.00"));
         assert!(!d.contains("100.00"));
         // The output stays parseable by its own reader.
-        let entries = parse_entries(&d);
+        let entries = parse_entries(&d).unwrap();
         assert_eq!(entries.len(), 3);
         assert!(entries.contains(&("abc1234".to_string(), "g/bench".to_string(), 110.0)));
         assert!(entries.contains(&("abc1234".to_string(), "g/other".to_string(), 7.5)));
@@ -420,27 +375,19 @@ mod tests {
     }
 
     #[test]
-    fn legacy_flat_results_migrate_under_the_unkeyed_key() {
-        let flat = merge_json("", "g/bench", 123.0);
-        let keyed = merge_json_keyed(&flat, "abc1234", "g/new", 1.0);
-        let entries = parse_entries(&keyed);
+    fn keyed_history_is_detected_and_never_flattened() {
+        // A keyed history, including the old "unkeyed" group, survives a
+        // merge as data.
+        let history = "{\n\"unkeyed\": {\n\"g/bench\": 123.00\n},\n\
+                       \"abc1234\": {\n\"g/new\": 1.00\n}\n}\n";
+        let merged = merge_json_keyed(history, "def5678", "g/bench", 50.0).unwrap();
+        let entries = parse_entries(&merged).unwrap();
+        assert_eq!(entries.len(), 3);
         assert!(entries.contains(&("unkeyed".to_string(), "g/bench".to_string(), 123.0)));
         assert!(entries.contains(&("abc1234".to_string(), "g/new".to_string(), 1.0)));
-    }
-
-    #[test]
-    fn keyed_history_is_detected_and_never_flattened() {
-        let flat = merge_json("", "g/bench", 123.0);
-        assert!(!is_keyed(&flat));
-        let keyed = merge_json_keyed(&flat, "abc1234", "g/new", 1.0);
-        assert!(is_keyed(&keyed));
-        // A keyless run against a keyed file must land under "unkeyed"
-        // (this is what record_json_result does when CPS_BENCH_KEY is
-        // unset), preserving every commit's history.
-        let merged = merge_json_keyed(&keyed, "unkeyed", "g/bench", 50.0);
-        let entries = parse_entries(&merged);
-        assert!(entries.contains(&("unkeyed".to_string(), "g/bench".to_string(), 50.0)));
-        assert!(entries.contains(&("abc1234".to_string(), "g/new".to_string(), 1.0)));
+        assert!(entries.contains(&("def5678".to_string(), "g/bench".to_string(), 50.0)));
+        // A flat map is detected and left alone rather than rewritten.
+        assert!(merge_json_keyed("{\n\"g/bench\": 123.00\n}\n", "abc1234", "g/new", 1.0).is_none());
     }
 
     #[test]
