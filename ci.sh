@@ -213,6 +213,17 @@ if ! cargo test -q -p cps-core -- --list | grep "characterize::reference.*: test
     exit 1
 fi
 
+# The dwell/wait sweep's invariant-ellipsoid exit is exact only while its
+# certificate is sound; the cps-control soundness test simulates past every
+# state a certificate accepts (random stable loops, near-unit spectral
+# radius, ill-conditioned P), so it must stay collected.
+step "ellipsoid-certificate soundness test is collected (cps-control)"
+if ! cargo test -q -p cps-control -- --list \
+        | grep "ellipsoid_certificate_never_admits_a_later_violation: test" > /dev/null; then
+    echo "ERROR: the cps-control ellipsoid-certificate soundness test was skipped or is empty" >&2
+    exit 1
+fi
+
 # The scenario-batch suite carries the parallel scenario engine's
 # determinism contract (outcomes independent of the thread count, ragged
 # scenario counts included, as a proptest); same reasoning, same gate.

@@ -5,7 +5,11 @@
 //! saturated loop. Both paths produce bit-identical curves (asserted here
 //! before timing), so the comparison is purely the cost of fixed-horizon,
 //! per-wait-point allocating simulation against scratch-buffer simulation
-//! that shares the ET prefix and stops on a provable tail bound.
+//! that shares the ET prefix and stops as soon as settling is provable. The
+//! linear loop proves it with the plant-row tail bound or, where that
+//! fails, with the verified invariant ellipsoid of `AᵀPA − P + I = 0`,
+//! whose one Lyapunov solve per mode is inside every timed iteration. The
+//! saturated loop keeps the full-state bound its actuator guard needs.
 //!
 //! The design-layer split: `derived_fleet_pass` times what fleet design
 //! pays per six-app fleet (sweep + fit per app, one thread), and

@@ -257,6 +257,207 @@ fn tail_bounds_into(
     Ok(UNBOUNDED)
 }
 
+/// Decrease margin δ of the first certificate check, `P − AᵀPA ⪰ δ·I`
+/// (the exact Lyapunov solution has `P − AᵀPA = I`).
+const ELLIPSOID_DECREASE: f64 = 0.5;
+
+/// Largest relative rounding error `ω` of the exit test's quadratic form
+/// (see [`certify_ellipsoid`]) for which a certificate is issued.
+const ELLIPSOID_FORM_BUDGET: f64 = 1e-3;
+
+/// Relative inflations `τ` of `μ` over the computed `λ_max`, tried in
+/// order until the second certificate check passes.
+const ELLIPSOID_INFLATIONS: [f64; 3] = [1e-9, 1e-6, 1e-3];
+
+/// The early-exit data of one closed-loop mode of the linear sweep.
+#[derive(Debug, Clone, Copy)]
+struct ExitBounds {
+    /// `max_{1≤i≤J} ‖C·Aⁱ‖_F` plant-row tail bound ([`TailBounds::plant`]).
+    plant: f64,
+    /// The level factor `μ` of the verified invariant ellipsoid of
+    /// [`certify_ellipsoid`], whose `P` is stored next to these bounds;
+    /// `None` if the mode has no certificate.
+    mu: Option<f64>,
+}
+
+impl ExitBounds {
+    /// Whether every plant norm after the state `z` is provably at or below
+    /// `threshold` while the mode stays fixed. `p` is the mode's certified
+    /// `P`. The quadratic form is only evaluated where the tail bound fails.
+    fn settled(&self, p: &Matrix, z: &[f64], threshold: f64) -> bool {
+        let level = threshold * EARLY_EXIT_SAFETY;
+        // Every later plant norm is ≤ plant·‖z‖ …
+        vec_norm(z) * self.plant <= level
+            // … or z lies in the verified invariant ellipsoid.
+            || self.mu.is_some_and(|mu| mu * quadratic_form(p, z) <= level * level)
+    }
+}
+
+/// `zᵀ·P·z`, summed row by row.
+fn quadratic_form(p: &Matrix, z: &[f64]) -> f64 {
+    p.as_slice()
+        .chunks_exact(z.len())
+        .zip(z)
+        .map(|(row, zi)| zi * row.iter().zip(z).map(|(pij, zj)| pij * zj).sum::<f64>())
+        .sum()
+}
+
+/// [`ExitBounds`] of one closed loop `a` of the linear sweep, on caller
+/// scratch: the plant-row tail bound, and the invariant-ellipsoid
+/// certificate, whose `P` is written into `p`. A loop without a contracting
+/// power (`ρ(A) ≥ 1`) gets neither.
+fn exit_bounds_into(
+    a: &Matrix,
+    plant_order: usize,
+    scratch: &mut PowerScratch,
+    p: &mut Matrix,
+    factor: &mut [f64],
+) -> Result<ExitBounds> {
+    let plant = tail_bounds_into(a, plant_order, &mut scratch.power, &mut scratch.next)?.plant;
+    let mu = if plant.is_finite() {
+        certify_ellipsoid(a, plant_order, p, &mut scratch.next, factor)
+    } else {
+        None
+    };
+    Ok(ExitBounds { plant, mu })
+}
+
+/// Invariant-ellipsoid certificate of the closed loop `A` (`n × n`, plant =
+/// its first `plant_order` states, `C` the matrix selecting them): solves
+/// `AᵀPA − P + I = 0` into `p` and returns `μ` if the stored `P` passes the
+/// two checks below. Then a simulated state `z` with
+/// `μ·fl(zᵀPz) ≤ (0.999·E_th)²` has, as the simulation computes them, every
+/// plant norm from `z` on at or below `E_th` while the loop stays on `A`.
+/// `None` (a failed check or guard, or a singular Lyapunov system) leaves
+/// the mode on its tail bound alone. `pa` and `factor` are `n × n` scratch.
+///
+/// # Soundness
+///
+/// It comes from checks on the computed `P`, read as an exact real matrix,
+/// not from the solver's accuracy. Let `ε` be the machine epsilon, `u = ε/2`
+/// the unit roundoff, `γₖ = k·u/(1 − k·u)`, `m = ‖A‖_F` and `π = ‖P‖_F`.
+/// Two rounding guards must hold:
+///
+/// * `η = 2(n+1)·ε·(m² + 1)·π ≤ δ/2`, with `δ = ½` the decrease margin;
+/// * `ω = 2(n+1)·ε·π ≤ 10⁻³`.
+///
+/// Both checks factor a formed matrix minus a shift `s·I` with
+/// [`cholesky_in_place`]. Success proves that the exact matrix is
+/// `⪰ (s − e)·I`, where `e` bounds the forming error plus the
+/// factorisation's backward error `γₙ₊₁/(1 − γₙ₊₁)·t ≤ (n+1)·u·t`, with `t`
+/// the trace of the formed matrix. The shifts take each term at least
+/// twice over, which also covers the rounding of the shifts themselves.
+///
+/// 1. *Decrease*: `P − AᵀPA ⪰ δ·I`. Forming `fl(P − Aᵀ·fl(P·A))` errs by at
+///    most `γ₂ₙ₊₂·(1 + m²)·π ≤ η/1.98` in the 2-norm. The shift is
+///    `δ + η + 4(n+1)·ε·t`.
+/// 2. *Level*: `μ·P − CᵀC ⪰ 0`. Here `μ = λ̂·(1 + τ)`. `λ̂` is the computed
+///    `λ_max` of the plant block of `P⁻¹`, the exact maximum of
+///    `‖Cz‖²/zᵀPz`. `τ` is the first of [`ELLIPSOID_INFLATIONS`] for which
+///    the check passes. Forming `fl(μ·P) − CᵀC` errs by at most
+///    `ε·(μ·π + n)`. The shift is twice that plus `4(n+1)·ε·t`.
+///
+/// Check 2 gives `μP ⪰ CᵀC ⪰ 0`, so `P ⪰ 0`. With check 1 that gives
+/// `P ⪰ δ·I` and `ρ(A) < 1` (Lyapunov). An unstable loop fails check 2,
+/// since its Stein solution is indefinite. Along the simulated trajectory
+/// `z̃ₖ₊₁ = A·z̃ₖ + eₖ`, where `|eₖ| ≤ γₙ·|A|·|z̃ₖ|`:
+///
+/// * `V(z) = zᵀPz` never grows. We have
+///   `V(z̃ₖ₊₁) ≤ V(z̃ₖ) − δ‖z̃ₖ‖² + 3γₙ·m²·π·‖z̃ₖ‖²` and `3γₙ·m²·π ≤ η < δ`.
+///   So the decrease margin absorbs the rounding of the simulated matvec.
+/// * The computed form, `Σᵢ zᵢ·(Σⱼ Pᵢⱼ·zⱼ)`, misreads `V` by at most
+///   `γ₂ₙ·|z̃|ᵀ|P||z̃| ≤ γ₂ₙ·π·‖z̃‖² ≤ 2γ₂ₙ·π·V ≤ ω·V`, using `P ⪰ ½·I`.
+/// * So once the exit test passes at sample `k`, every sample `j ≥ k` has
+///   `‖Cz̃ⱼ‖² ≤ μ·V(z̃ⱼ) ≤ μ·V(z̃ₖ) ≤ (0.999·E_th)²·(1 + 4u)/(1 − ω)`.
+///   The computed plant norm exceeds the exact one by a factor of at most
+///   `1 + (n+1)·u`. So it is at most `0.9995·E_th < E_th`.
+///
+/// `τ` does not enter this argument, because check 2 verifies whichever `μ`
+/// is used. It only lets the check pass. Exactly,
+/// `μP − CᵀC ⪰ (μ − λ_max)·λ_min(P)·I`, and that margin must beat the
+/// rounding shift and `λ̂`'s error. A larger `τ` shrinks the level by the
+/// factor `1 + τ`. Results in the subnormal range (states near 10⁻³⁰⁰) add
+/// absolute errors far below the 0.1% margin at any threshold a curve uses.
+fn certify_ellipsoid(
+    a: &Matrix,
+    plant_order: usize,
+    p: &mut Matrix,
+    pa: &mut Matrix,
+    factor: &mut [f64],
+) -> Option<f64> {
+    let n = a.rows();
+    let solved = cps_linalg::solve_discrete_lyapunov(a, &Matrix::identity(n)).ok()?;
+    p.copy_from(&solved).ok()?;
+    verify_ellipsoid(a, plant_order, p, pa, factor)
+}
+
+/// The two checks of [`certify_ellipsoid`] on a given `p`: the level factor
+/// `μ` if `p` certifies an invariant ellipsoid of `a`.
+fn verify_ellipsoid(
+    a: &Matrix,
+    plant_order: usize,
+    p: &Matrix,
+    pa: &mut Matrix,
+    factor: &mut [f64],
+) -> Option<f64> {
+    let n = a.rows();
+    let eps = f64::EPSILON;
+    let width = (n + 1) as f64;
+    let (a_norm, p_norm) = (a.frobenius_norm(), p.frobenius_norm());
+    let rounding = 2.0 * width * eps * (a_norm * a_norm + 1.0) * p_norm;
+    let form_error = 2.0 * width * eps * p_norm;
+    if !(rounding <= ELLIPSOID_DECREASE / 2.0 && form_error <= ELLIPSOID_FORM_BUDGET) {
+        return None;
+    }
+    // Check 1: P − AᵀPA ⪰ δ·I.
+    p.matmul_into(a, pa).ok()?;
+    let (p_data, a_data, pa_data) = (p.as_slice(), a.as_slice(), pa.as_slice());
+    for i in 0..n {
+        for j in 0..n {
+            let mut entry = p_data[i * n + j];
+            for k in 0..n {
+                entry -= a_data[k * n + i] * pa_data[k * n + j];
+            }
+            factor[i * n + j] = entry;
+        }
+    }
+    let trace: f64 = (0..n).map(|i| factor[i * n + i]).sum();
+    let shift = ELLIPSOID_DECREASE + rounding + 4.0 * width * eps * trace;
+    if !shifted_cholesky(factor, n, shift) {
+        return None;
+    }
+    // Check 2: μ·P − CᵀC ⪰ 0.
+    let plant_block = cps_linalg::inverse(p).ok()?.block(0, 0, plant_order, plant_order).ok()?;
+    let lambda = cps_linalg::spectral_radius(&plant_block).ok()?;
+    ELLIPSOID_INFLATIONS
+        .into_iter()
+        .map(|tau| lambda * (1.0 + tau))
+        .find(|&mu| level_check(p, plant_order, mu, factor))
+}
+
+/// Check 2 of [`certify_ellipsoid`]: whether `μ·P − CᵀC ⪰ 0` provably
+/// holds, on the flat `n × n` scratch `factor`.
+fn level_check(p: &Matrix, plant_order: usize, mu: f64, factor: &mut [f64]) -> bool {
+    let n = p.rows();
+    for (index, (slot, value)) in factor.iter_mut().zip(p.as_slice()).enumerate() {
+        let plant_diagonal = index % (n + 1) == 0 && index / n < plant_order;
+        *slot = mu * value - if plant_diagonal { 1.0 } else { 0.0 };
+    }
+    let eps = f64::EPSILON;
+    let trace: f64 = (0..n).map(|i| factor[i * n + i]).sum();
+    let shift =
+        2.0 * eps * (mu * p.frobenius_norm() + n as f64) + 4.0 * (n + 1) as f64 * eps * trace;
+    shifted_cholesky(factor, n, shift)
+}
+
+/// [`cholesky_in_place`] of the flat `n × n` matrix `a − shift·I`.
+fn shifted_cholesky(a: &mut [f64], n: usize, shift: f64) -> bool {
+    for i in 0..n {
+        a[i * n + i] -= shift;
+    }
+    cps_linalg::cholesky_in_place(a, n)
+}
+
 /// The state machinery a [`settle_driver`] run drives: one switched
 /// simulation (linear or saturated) exposing its current plant norm, its
 /// provable-settling test, one step of its dynamics and a snapshot of its
@@ -396,7 +597,17 @@ fn sweep<S: SettleSim>(
 
     // The ET run stops no earlier than sample ξᴱᵀ (it cannot prove settling
     // before its last violation), so every wait point has its recording.
-    debug_assert!(et_norms.len() > xi_et_steps, "the pure-ET recording ends before ξᴱᵀ");
+    // Check it in every build: a short recording would silently truncate
+    // the curve below.
+    let recorded = et_norms.len().min(et_states.len().checked_div(sim.state_len()).unwrap_or(0));
+    if recorded <= xi_et_steps {
+        return Err(ControlError::InvalidModel {
+            reason: format!(
+                "the pure-ET recording ends after {recorded} samples, before ξᴱᵀ = \
+                 {xi_et_steps} samples"
+            ),
+        });
+    }
     let mut points = Vec::with_capacity(xi_et_steps + 1);
     let mut last_above = None;
     let snapshots = et_states.chunks_exact(sim.state_len()).zip(et_norms.iter());
@@ -430,22 +641,29 @@ fn sweep<S: SettleSim>(
 /// characterisation, with analytically justified early exit.
 ///
 /// Construction validates the matrix pair once and precomputes each mode's
-/// plant-row tail bound (see [`power_norm_bound`] for the power iteration);
-/// every subsequent [`SwitchedKernel::settle_steps`] /
-/// [`SwitchedKernel::dwell_steps`] call is a bare `matvec_kernel` loop on
-/// two pre-allocated state buffers that stops as soon as the remaining
-/// trajectory is *provably* settled, instead of simulating a fixed full
-/// horizon and scanning backwards. Results are identical to the
-/// full-horizon reference path point for point.
+/// two early-exit tests: the plant-row tail bound (see [`power_norm_bound`]
+/// for the power iteration) and, once per application, the verified
+/// invariant ellipsoid `{z : zᵀPz ≤ c}` of `AᵀPA − P + I = 0` (one
+/// Lyapunov solve per mode). Every subsequent
+/// [`SwitchedKernel::settle_steps`] / [`SwitchedKernel::dwell_steps`] call
+/// is a bare `matvec_kernel` loop on two pre-allocated state buffers that
+/// stops as soon as either test proves the remaining trajectory settled,
+/// instead of simulating a fixed full horizon and scanning backwards. The
+/// quadratic form runs only on samples where the cheaper tail bound fails.
+/// Results are identical to the full-horizon reference path point for
+/// point.
 #[derive(Debug)]
 pub struct SwitchedKernel<'m> {
     a1: &'m Matrix,
     a2: &'m Matrix,
     plant_order: usize,
-    /// `max_{1≤i≤J} ‖C·A₁ⁱ‖` plant-row bound for runs that never switch.
-    et_bound: f64,
-    /// `max_{1≤i≤J} ‖C·A₂ⁱ‖` plant-row bound for the post-switch tail.
-    tt_bound: f64,
+    /// Exit bounds of `A₁`, for runs that never switch.
+    et: ExitBounds,
+    /// Exit bounds of `A₂`, for the post-switch tail.
+    tt: ExitBounds,
+    /// The certified Lyapunov matrices `P` of `A₁` / `A₂`.
+    et_p: Matrix,
+    tt_p: Matrix,
     z: Vec<f64>,
     z_next: Vec<f64>,
 }
@@ -483,15 +701,18 @@ impl<'m> SwitchedKernel<'m> {
     /// shapes, are not square, or `plant_order` exceeds the state dimension.
     pub fn new(a1: &'m Matrix, a2: &'m Matrix, plant_order: usize) -> Result<Self> {
         validate_pair(a1, a2, plant_order)?;
-        let et_bound = tail_bounds(a1, plant_order)?.plant;
-        let tt_bound = tail_bounds(a2, plant_order)?.plant;
         let order = a1.cols();
+        let mut lyapunov = LyapunovScratch::new(order);
+        let mut scratch = PowerScratch::new(order);
+        let (et, tt) = lyapunov.certify(a1, a2, plant_order, &mut scratch)?;
         Ok(SwitchedKernel {
             a1,
             a2,
             plant_order,
-            et_bound,
-            tt_bound,
+            et,
+            tt,
+            et_p: lyapunov.et,
+            tt_p: lyapunov.tt,
             z: vec![0.0; order],
             z_next: vec![0.0; order],
         })
@@ -547,8 +768,10 @@ impl<'m> SwitchedKernel<'m> {
             a1: self.a1,
             a2: self.a2,
             plant_order: self.plant_order,
-            et_bound: self.et_bound,
-            tt_bound: self.tt_bound,
+            et: self.et,
+            tt: self.tt,
+            et_p: &self.et_p,
+            tt_p: &self.tt_p,
             z: &mut self.z,
             z_next: &mut self.z_next,
         }
@@ -563,8 +786,10 @@ struct SwitchedDrive<'m, 'b> {
     a1: &'m Matrix,
     a2: &'m Matrix,
     plant_order: usize,
-    et_bound: f64,
-    tt_bound: f64,
+    et: ExitBounds,
+    tt: ExitBounds,
+    et_p: &'b Matrix,
+    tt_p: &'b Matrix,
     z: &'b mut Vec<f64>,
     z_next: &'b mut Vec<f64>,
 }
@@ -613,9 +838,8 @@ impl SettleSim for SwitchedDrive<'_, '_> {
     }
 
     fn provably_settled(&self, et_mode: bool, threshold: f64) -> bool {
-        let bound = if et_mode { self.et_bound } else { self.tt_bound };
-        // Every later plant norm is ≤ bound·‖z‖.
-        vec_norm(self.z) * bound <= threshold * EARLY_EXIT_SAFETY
+        let (bounds, p) = if et_mode { (self.et, self.et_p) } else { (self.tt, self.tt_p) };
+        bounds.settled(p, self.z, threshold)
     }
 
     fn advance(&mut self, et_phase: bool) {
@@ -666,6 +890,63 @@ struct PowerScratch {
     next: Matrix,
 }
 
+impl PowerScratch {
+    fn new(order: usize) -> Self {
+        PowerScratch { power: Matrix::zeros(order, order), next: Matrix::zeros(order, order) }
+    }
+}
+
+/// Invariant-ellipsoid certificates of a switched pair, keyed by order in
+/// the workspace pool: each mode's certified `P` and the Cholesky buffer of
+/// the certificate checks.
+#[derive(Debug)]
+struct LyapunovScratch {
+    et: Matrix,
+    tt: Matrix,
+    factor: Vec<f64>,
+}
+
+impl LyapunovScratch {
+    fn new(order: usize) -> Self {
+        LyapunovScratch {
+            et: Matrix::zeros(order, order),
+            tt: Matrix::zeros(order, order),
+            factor: vec![0.0; order * order],
+        }
+    }
+
+    /// [`ExitBounds`] of both modes, certifying each mode's `P` in place.
+    fn certify(
+        &mut self,
+        a1: &Matrix,
+        a2: &Matrix,
+        plant_order: usize,
+        scratch: &mut PowerScratch,
+    ) -> Result<(ExitBounds, ExitBounds)> {
+        let et = exit_bounds_into(a1, plant_order, scratch, &mut self.et, &mut self.factor)?;
+        let tt = exit_bounds_into(a2, plant_order, scratch, &mut self.tt, &mut self.factor)?;
+        Ok((et, tt))
+    }
+}
+
+/// The entry of a dimension-keyed pool that `matches`, created by `create`
+/// on first use (linear scan: a pool holds a handful of entries, a
+/// characterisation runs thousands of kernel steps per lookup).
+fn pool_entry<T>(
+    pool: &mut Vec<T>,
+    matches: impl Fn(&T) -> bool,
+    create: impl FnOnce() -> T,
+) -> &mut T {
+    let index = match pool.iter().position(matches) {
+        Some(index) => index,
+        None => {
+            pool.push(create());
+            pool.len() - 1
+        }
+    };
+    &mut pool[index]
+}
+
 /// Saturated-sim buffer bundle of the workspace pool, keyed by
 /// `(plant_order, inputs)`.
 #[derive(Debug)]
@@ -708,27 +989,29 @@ impl SatBuffers {
 ///
 /// Every dwell/wait characterisation needs the same machinery: the switched
 /// state double-buffers of the settle loop, the matrix pair of the
-/// tail-bound power iteration, the saturated-sim buffer bundle of the rig
-/// model, and the recording of the pure-ET run — its norm trajectory and
-/// its states, the shared prefix every wait point of the sweep resumes
-/// from. The seed path constructed all of it per application; this pool
-/// holds one entry per distinct dimension (fleets mix first- and
+/// tail-bound power iteration, each mode's certified Lyapunov matrix `P`
+/// with the Cholesky buffer of its checks, the saturated-sim buffer bundle
+/// of the rig model, and the recording of the pure-ET run — its norm
+/// trajectory and its states, the shared prefix every wait point of the
+/// sweep resumes from. The seed path constructed all of it per application;
+/// this pool holds one entry per distinct dimension (fleets mix first- and
 /// second-order plants) and a design worker threads it through every
 /// characterisation, so a warm worker re-allocates none of the simulation
 /// scratch per application, whatever the sweep length — only the
-/// materialised curve (and the eigenvalue temporaries of the stability
-/// pre-check) remain per-app allocations.
+/// materialised curve, the eigenvalue temporaries of the stability
+/// pre-check and the one Lyapunov solve per mode remain per-app
+/// allocations.
 ///
 /// Every pooled path is the `_with` twin of its allocating reference and
 /// bit-identical to it (asserted by the characterisation parity tests).
 #[derive(Debug, Default)]
 pub struct CharacterizationWorkspace {
-    /// Switched-state pairs, keyed by augmented order (linear scan: a pool
-    /// holds a handful of entries, a characterisation runs thousands of
-    /// kernel steps per lookup).
+    /// Switched-state pairs, keyed by augmented order.
     states: Vec<StateScratch>,
     /// Power-iteration matrix pairs, keyed by order.
     powers: Vec<PowerScratch>,
+    /// Certified Lyapunov matrices of the linear modes, keyed by order.
+    lyapunov: Vec<LyapunovScratch>,
     /// Saturated-sim bundles, keyed by `(plant_order, inputs)`.
     saturated: Vec<SatBuffers>,
     /// Recording buffer for pure-ET norm trajectories.
@@ -757,6 +1040,12 @@ impl CharacterizationWorkspace {
         self.powers.len()
     }
 
+    /// Number of distinct matrix orders the pool holds invariant-ellipsoid
+    /// certificates (each mode's `P`) for.
+    pub fn lyapunov_pool_size(&self) -> usize {
+        self.lyapunov.len()
+    }
+
     /// Number of distinct `(plant_order, inputs)` dimensions the pool holds
     /// saturated-sim buffers for.
     pub fn saturated_pool_size(&self) -> usize {
@@ -771,24 +1060,18 @@ impl CharacterizationWorkspace {
             });
         }
         let order = a.rows();
-        let index = match self.powers.iter().position(|entry| entry.power.rows() == order) {
-            Some(index) => index,
-            None => {
-                self.powers.push(PowerScratch {
-                    power: Matrix::zeros(order, order),
-                    next: Matrix::zeros(order, order),
-                });
-                self.powers.len() - 1
-            }
-        };
-        let entry = &mut self.powers[index];
+        let entry = pool_entry(
+            &mut self.powers,
+            |entry| entry.power.rows() == order,
+            || PowerScratch::new(order),
+        );
         tail_bounds_into(a, plant_order, &mut entry.power, &mut entry.next)
     }
 
     /// A pooled switched kernel over the matrix pair, plus the pooled
     /// recording buffer for norm trajectories: the borrowed twin of
-    /// [`SwitchedKernel::new`], with the state buffers and the tail-bound
-    /// scratch coming from the pool. Settling results are bit-identical to
+    /// [`SwitchedKernel::new`], with the state buffers, the tail-bound
+    /// scratch and the certified Lyapunov matrices coming from the pool. Settling results are bit-identical to
     /// the owning kernel's.
     ///
     /// # Errors
@@ -813,27 +1096,30 @@ impl CharacterizationWorkspace {
         plant_order: usize,
     ) -> Result<(PooledSwitchedKernel<'m, 'w>, &'w mut Vec<f64>, &'w mut Vec<f64>)> {
         validate_pair(a1, a2, plant_order)?;
-        let et_bound = self.tail_bounds(a1, plant_order)?.plant;
-        let tt_bound = self.tail_bounds(a2, plant_order)?.plant;
         let order = a1.cols();
-        let CharacterizationWorkspace { states, norms, et_states, .. } = self;
-        let index = match states.iter().position(|entry| entry.z.len() == order) {
-            Some(index) => index,
-            None => {
-                states.push(StateScratch { z: vec![0.0; order], z_next: vec![0.0; order] });
-                states.len() - 1
-            }
-        };
-        let entry = &mut states[index];
+        let CharacterizationWorkspace { states, powers, lyapunov, norms, et_states, .. } = self;
+        let scratch =
+            pool_entry(powers, |entry| entry.power.rows() == order, || PowerScratch::new(order));
+        let lyapunov =
+            pool_entry(lyapunov, |entry| entry.et.rows() == order, || LyapunovScratch::new(order));
+        let (et, tt) = lyapunov.certify(a1, a2, plant_order, scratch)?;
+        let lyapunov: &'w LyapunovScratch = lyapunov;
+        let state = pool_entry(
+            states,
+            |entry| entry.z.len() == order,
+            || StateScratch { z: vec![0.0; order], z_next: vec![0.0; order] },
+        );
         Ok((
             PooledSwitchedKernel {
                 a1,
                 a2,
                 plant_order,
-                et_bound,
-                tt_bound,
-                z: &mut entry.z,
-                z_next: &mut entry.z_next,
+                et,
+                tt,
+                et_p: &lyapunov.et,
+                tt_p: &lyapunov.tt,
+                z: &mut state.z,
+                z_next: &mut state.z_next,
             },
             norms,
             et_states,
@@ -848,22 +1134,18 @@ impl CharacterizationWorkspace {
         plant_order: usize,
         inputs: usize,
     ) -> &mut SatBuffers {
-        let index = match saturated.iter().position(|entry| entry.dims() == (plant_order, inputs))
-        {
-            Some(index) => index,
-            None => {
-                saturated.push(SatBuffers::new(plant_order, inputs));
-                saturated.len() - 1
-            }
-        };
-        &mut saturated[index]
+        pool_entry(
+            saturated,
+            |entry| entry.dims() == (plant_order, inputs),
+            || SatBuffers::new(plant_order, inputs),
+        )
     }
 }
 
-/// A [`SwitchedKernel`] whose state buffers live in a
-/// [`CharacterizationWorkspace`] pool: constructed per application (the
-/// matrices and settling bounds are per-design values), but on a warm pool
-/// the construction reuses every simulation buffer, and the settle/dwell
+/// A [`SwitchedKernel`] whose state buffers and certified Lyapunov matrices
+/// live in a [`CharacterizationWorkspace`] pool: constructed per application
+/// (the matrices and settling bounds are per-design values), but on a warm
+/// pool the construction reuses every simulation buffer, and the settle/dwell
 /// sweeps afterwards are allocation-free — the property the workspace's
 /// counting-allocator test pins.
 #[derive(Debug)]
@@ -871,8 +1153,10 @@ pub struct PooledSwitchedKernel<'m, 'w> {
     a1: &'m Matrix,
     a2: &'m Matrix,
     plant_order: usize,
-    et_bound: f64,
-    tt_bound: f64,
+    et: ExitBounds,
+    tt: ExitBounds,
+    et_p: &'w Matrix,
+    tt_p: &'w Matrix,
     z: &'w mut Vec<f64>,
     z_next: &'w mut Vec<f64>,
 }
@@ -917,8 +1201,10 @@ impl<'m> PooledSwitchedKernel<'m, '_> {
             a1: self.a1,
             a2: self.a2,
             plant_order: self.plant_order,
-            et_bound: self.et_bound,
-            tt_bound: self.tt_bound,
+            et: self.et,
+            tt: self.tt,
+            et_p: self.et_p,
+            tt_p: self.tt_p,
             z: &mut *self.z,
             z_next: &mut *self.z_next,
         }
@@ -985,8 +1271,12 @@ impl CharacterizationConfig {
 /// acts as an upper cap only), and each wait point resumes from the
 /// recorded pure-ET state at its switching instant instead of re-simulating
 /// the ET prefix, so every sample is simulated once per run it belongs to.
-/// The curve is identical to [`characterize_dwell_vs_wait_reference`] point
-/// for point.
+/// A run proves settling with either of two tests on a sample at or below
+/// the threshold: the plant-row tail bound `‖z‖·max_i ‖C·Aⁱ‖_F`, or, where
+/// that fails, membership in the mode's verified invariant ellipsoid
+/// `μ·zᵀPz ≤ (0.999·E_th)²` (`AᵀPA − P + I = 0`, solved and checked once
+/// per mode and application). Both are sound, so the curve is identical to
+/// [`characterize_dwell_vs_wait_reference`] point for point.
 ///
 /// # Errors
 ///
@@ -1556,10 +1846,12 @@ mod tests {
         let mut ws = CharacterizationWorkspace::new();
         assert_eq!(ws.state_pool_size(), 0);
         assert_eq!(ws.power_pool_size(), 0);
+        assert_eq!(ws.lyapunov_pool_size(), 0);
         let pooled = characterize_dwell_vs_wait_with(&a1, &a2, &config, &mut ws).unwrap();
         assert_eq!(pooled, one_shot);
         assert_eq!(ws.state_pool_size(), 1);
         assert_eq!(ws.power_pool_size(), 1);
+        assert_eq!(ws.lyapunov_pool_size(), 1);
 
         // A second characterisation of the same dimensions grows no pools —
         // the buffers are reused — and stays bit-identical on a warm pool.
@@ -1567,6 +1859,7 @@ mod tests {
         assert_eq!(warm, one_shot);
         assert_eq!(ws.state_pool_size(), 1);
         assert_eq!(ws.power_pool_size(), 1);
+        assert_eq!(ws.lyapunov_pool_size(), 1);
 
         // The pooled kernel handle matches the owning kernel point for point.
         let mut owning = SwitchedKernel::new(&a1, &a2, config.plant_order).unwrap();
@@ -1603,6 +1896,8 @@ mod tests {
         assert_eq!(pooled, one_shot);
         assert_eq!(ws.saturated_pool_size(), 1);
         assert_eq!(ws.power_pool_size(), 1);
+        // The saturated model keeps its full-state bound: no certificate.
+        assert_eq!(ws.lyapunov_pool_size(), 0);
         // Warm pool: no new entries, identical curve.
         let warm = model.characterize_with(&config, &mut ws).unwrap();
         assert_eq!(warm, one_shot);
@@ -1704,6 +1999,179 @@ mod tests {
         // The full-state bound is exactly the public power-norm bound.
         let (a1, _) = rig_linear_loops();
         assert_eq!(tail_bounds(&a1, 2).unwrap().full, power_norm_bound(&a1).unwrap());
+    }
+
+    /// A certificate's scratch for order `n`: `(P, P·A, Cholesky buffer)`.
+    fn certificate_scratch(n: usize) -> (Matrix, Matrix, Vec<f64>) {
+        (Matrix::zeros(n, n), Matrix::zeros(n, n), vec![0.0; n * n])
+    }
+
+    /// The unit vector `v` maximising `vᵀ·G·v` for a small symmetric
+    /// positive-definite `g`, by power iteration.
+    fn top_eigenvector(g: &Matrix) -> Vec<f64> {
+        let mut v = vec![1.0; g.rows()];
+        for _ in 0..500 {
+            let next = g.matvec(&v).unwrap();
+            let norm = vec_norm(&next);
+            v = next.iter().map(|x| x / norm).collect();
+        }
+        v
+    }
+
+    #[test]
+    fn ellipsoid_certificate_never_admits_a_later_violation() {
+        // Seeded random Schur-stable matrices of orders 2–5 with plant
+        // orders 1–3: normal and strongly non-normal (ill-conditioned P),
+        // with spectral radii up to 0.999. Every state the certificate
+        // accepts, the ellipsoid clause alone (tail bound disabled), must
+        // keep every plant norm at or below the threshold for 3000 steps,
+        // itself included. The probed states sit just inside the certified
+        // level, in random directions and in the direction that maximises
+        // the plant norm over the ellipsoid, so a too-large level shows.
+        let mut seed = 0x2545_f491_4f6c_dd1du64;
+        let mut uniform = move || {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            (seed >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0
+        };
+        let threshold = 0.1;
+        let (mut certified, mut probed, mut worst_ratio) = (0, 0, 0.0_f64);
+        let mut largest_p = 0.0_f64;
+        for case in 0..48 {
+            let order = 2 + case % 4;
+            let skew = [1.0, 6.0, 20.0][case % 3];
+            let mut data = vec![0.0; order * order];
+            for row in 0..order {
+                for col in 0..order {
+                    data[row * order + col] = if col > row { skew } else { 1.0 } * uniform();
+                }
+            }
+            let raw = Matrix::from_vec(order, order, data).unwrap();
+            let rho = cps_linalg::spectral_radius(&raw).unwrap();
+            let target = [0.999, 0.99, 0.9, 0.5 + 0.45 * uniform().abs()][case % 4];
+            let a = raw.scale(target / rho);
+            for plant_order in 1..=order.min(3) {
+                let (mut p, mut pa, mut factor) = certificate_scratch(order);
+                let Some(mu) = certify_ellipsoid(&a, plant_order, &mut p, &mut pa, &mut factor)
+                else {
+                    continue;
+                };
+                certified += 1;
+                largest_p = largest_p.max(p.frobenius_norm());
+                let ellipsoid_only = ExitBounds { plant: f64::INFINITY, mu: Some(mu) };
+                // Worst direction: z = P⁻¹·Cᵀ·v, v the top eigenvector of
+                // the plant block of P⁻¹.
+                let p_inv = cps_linalg::inverse(&p).unwrap();
+                let v = top_eigenvector(&p_inv.block(0, 0, plant_order, plant_order).unwrap());
+                let mut worst = vec![0.0; order];
+                for (row, slot) in worst.iter_mut().enumerate() {
+                    *slot = (0..plant_order).map(|k| p_inv[(row, k)] * v[k]).sum();
+                }
+                let mut directions = vec![worst];
+                directions.extend(
+                    (0..3).map(|_| (0..order).map(|_| uniform()).collect::<Vec<f64>>()),
+                );
+                for direction in directions {
+                    let level = (threshold * EARLY_EXIT_SAFETY).powi(2);
+                    let scale = (level / (mu * quadratic_form(&p, &direction))).sqrt();
+                    let mut z: Vec<f64> =
+                        direction.iter().map(|x| x * scale * (1.0 - 1e-9)).collect();
+                    assert!(ellipsoid_only.settled(&p, &z, threshold), "case {case}");
+                    probed += 1;
+                    let mut next = vec![0.0; order];
+                    for step in 0..=3000 {
+                        let norm = plant_state_norm(&z, plant_order);
+                        worst_ratio = worst_ratio.max(norm / threshold);
+                        assert!(
+                            norm <= threshold,
+                            "case {case}, plant order {plant_order}, step {step}: {norm} > \
+                             {threshold}"
+                        );
+                        a.matvec_kernel(&z, &mut next);
+                        std::mem::swap(&mut z, &mut next);
+                    }
+                }
+            }
+        }
+        // Not vacuous: most loops certify, ill-conditioned P included, and
+        // the worst-direction probes come close to the threshold.
+        assert!(certified >= 90, "only {certified} certificates");
+        assert_eq!(probed, 4 * certified);
+        assert!(largest_p > 1e3, "largest ‖P‖_F {largest_p}");
+        assert!(worst_ratio > 0.99, "worst plant norm / threshold {worst_ratio}");
+    }
+
+    #[test]
+    fn ellipsoid_certificate_rejects_unstable_loops_and_failed_checks() {
+        // ρ(A) ≥ 1: no certificate, neither directly nor through the exit
+        // bounds (which skip the solve on the tail bound's ρ test).
+        let unstable = Matrix::from_rows(&[&[1.05, 0.3], &[0.0, 0.5]]).unwrap();
+        let (mut p, mut pa, mut factor) = certificate_scratch(2);
+        assert_eq!(certify_ellipsoid(&unstable, 1, &mut p, &mut pa, &mut factor), None);
+        let mut scratch = PowerScratch::new(2);
+        let bounds = exit_bounds_into(&unstable, 1, &mut scratch, &mut p, &mut factor).unwrap();
+        assert_eq!((bounds.plant, bounds.mu), (f64::INFINITY, None));
+        let marginal = Matrix::identity(2);
+        assert_eq!(certify_ellipsoid(&marginal, 1, &mut p, &mut pa, &mut factor), None);
+        // The Stein solution of the unstable loop passes the decrease check
+        // (P − AᵀPA = I) but is indefinite: the level check rejects it.
+        let stein = cps_linalg::solve_discrete_lyapunov(&unstable, &Matrix::identity(2)).unwrap();
+        assert_eq!(verify_ellipsoid(&unstable, 1, &stein, &mut pa, &mut factor), None);
+
+        let (a1, a2) = rig_linear_loops();
+        let (mut p, mut pa, mut factor) = certificate_scratch(3);
+        let mu = certify_ellipsoid(&a1, 2, &mut p, &mut pa, &mut factor).expect("certified");
+        let kernel = SwitchedKernel::new(&a1, &a2, 2).unwrap();
+        assert_eq!(kernel.et.mu, Some(mu), "the servo's ET loop certifies");
+        assert!(kernel.tt.mu.is_some(), "the servo's TT loop certifies");
+        // Check 1 fails on a shrunk P (P − AᵀPA = 0.4·I), whatever μ is.
+        assert_eq!(verify_ellipsoid(&a1, 2, &p.scale(0.4), &mut pa, &mut factor), None);
+        // Check 2 rejects a μ below the true λ_max, accepts the certified one.
+        assert!(level_check(&p, 2, mu, &mut factor));
+        assert!(!level_check(&p, 2, mu / 4.0, &mut factor));
+        assert!(!level_check(&p, 2, mu / (1.0 + 1e-6), &mut factor));
+    }
+
+    /// A [`SettleSim`] whose state snapshots are lost: the sweep must report
+    /// the short recording instead of returning a truncated curve.
+    struct ForgetfulSim<'m, 'b>(SwitchedDrive<'m, 'b>);
+
+    impl SettleSim for ForgetfulSim<'_, '_> {
+        fn plant_norm(&self) -> f64 {
+            self.0.plant_norm()
+        }
+        fn provably_settled(&self, et_mode: bool, threshold: f64) -> bool {
+            self.0.provably_settled(et_mode, threshold)
+        }
+        fn advance(&mut self, et_phase: bool) {
+            self.0.advance(et_phase);
+        }
+        fn load_initial(&mut self, initial_state: &[f64]) -> Result<()> {
+            self.0.load_initial(initial_state)
+        }
+        fn state_len(&self) -> usize {
+            self.0.state_len()
+        }
+        fn save_state(&self, _out: &mut Vec<f64>) {}
+        fn load_state(&mut self, state: &[f64]) {
+            self.0.load_state(state);
+        }
+    }
+
+    #[test]
+    fn sweep_reports_a_short_et_recording() {
+        let (a1, a2) = rig_linear_loops();
+        let config = servo_config();
+        let mut kernel = SwitchedKernel::new(&a1, &a2, config.plant_order).unwrap();
+        let (mut norms, mut states) = (Vec::new(), Vec::new());
+        let error = sweep(&mut ForgetfulSim(kernel.drive()), &config, &mut norms, &mut states)
+            .unwrap_err();
+        assert!(matches!(error, ControlError::InvalidModel { .. }), "{error}");
+        assert!(error.to_string().contains("pure-ET recording"), "{error}");
+        // The honest sim on the same buffers returns the full curve.
+        let curve = sweep(&mut kernel.drive(), &config, &mut norms, &mut states).unwrap();
+        assert_eq!(curve, characterize_dwell_vs_wait_reference(&a1, &a2, &config).unwrap());
     }
 
     #[test]

@@ -26,7 +26,8 @@
 //! * [`expm`] / [`discretize_zoh`] / [`input_integral`] — matrix exponential
 //!   and the zero-order-hold integrals behind the paper's delayed-input plant
 //!   model (Eq. (1)).
-//! * [`solve_discrete_lyapunov`] — Lyapunov-based stability certificates.
+//! * [`solve_discrete_lyapunov`] / [`cholesky_in_place`] — Lyapunov-based
+//!   stability certificates and the one positive-definiteness test.
 //! * [`solve_dare`] / [`dlqr`] — discrete Riccati equation and LQR synthesis.
 //!
 //! # Example
@@ -67,7 +68,9 @@ pub use expm::{
     input_integral_with, ExpmWorkspace,
 };
 pub use lu::{determinant, inverse, solve, Lu};
-pub use lyapunov::{is_positive_definite, is_schur_stable_lyapunov, solve_discrete_lyapunov};
+pub use lyapunov::{
+    cholesky_in_place, is_positive_definite, is_schur_stable_lyapunov, solve_discrete_lyapunov,
+};
 pub use matrix::{axpy, dot, vec_norm, Matrix};
 pub use qr::{polyfit, polyval, Qr};
 pub use riccati::{

@@ -109,26 +109,40 @@ pub fn is_schur_stable_lyapunov(a: &Matrix) -> Result<bool> {
 }
 
 /// Returns `true` if the symmetric matrix `p` is positive definite, tested
-/// via an LDLᵀ-free Cholesky factorisation attempt.
+/// by attempting a [`cholesky_in_place`] factorisation of a flat copy.
 pub fn is_positive_definite(p: &Matrix) -> bool {
-    if !p.is_square() {
-        return false;
-    }
-    let n = p.rows();
-    let mut chol = vec![vec![0.0; n]; n];
+    p.is_square() && cholesky_in_place(&mut p.as_slice().to_vec(), p.rows())
+}
+
+/// Cholesky factorisation `A = L·Lᵀ` of the symmetric `n × n` matrix stored
+/// row-major in `a`, in place: only the lower triangle is read, and it is
+/// overwritten with `L` (the strict upper triangle is left untouched).
+///
+/// Returns `false` as soon as a pivot is not positive (or is NaN), i.e. the
+/// matrix is not positive definite; `a` is then partly overwritten. This is
+/// the textbook row-by-row algorithm, so Higham's backward-error result
+/// holds for it (*Accuracy and Stability of Numerical Algorithms*, Thm.
+/// 10.3): when it succeeds, `L·Lᵀ = A + ΔA` with
+/// `‖ΔA‖₂ ≤ γ₍ₙ₊₁₎/(1 − γ₍ₙ₊₁₎)·trace(A)`, `γₖ = k·u/(1 − k·u)`. Callers
+/// that need a rigorous positive-definiteness proof factor `A − s·I` with a
+/// shift `s` above that bound.
+///
+/// Allocation-free; `a.len()` must be `n * n` (debug-asserted).
+pub fn cholesky_in_place(a: &mut [f64], n: usize) -> bool {
+    debug_assert_eq!(a.len(), n * n, "cholesky_in_place: matrix length");
     for i in 0..n {
         for j in 0..=i {
-            let mut sum = p[(i, j)];
+            let mut sum = a[i * n + j];
             for k in 0..j {
-                sum -= chol[i][k] * chol[j][k];
+                sum -= a[i * n + k] * a[j * n + k];
             }
             if i == j {
-                if sum <= 0.0 {
+                if !(sum > 0.0) {
                     return false;
                 }
-                chol[i][j] = sum.sqrt();
+                a[i * n + i] = sum.sqrt();
             } else {
-                chol[i][j] = sum / chol[j][j];
+                a[i * n + j] = sum / a[j * n + j];
             }
         }
     }
@@ -189,5 +203,24 @@ mod tests {
         assert!(!is_positive_definite(&Matrix::zeros(2, 3)));
         let semidefinite = Matrix::diagonal(&[1.0, 0.0]).unwrap();
         assert!(!is_positive_definite(&semidefinite));
+        assert!(!is_positive_definite(&Matrix::diagonal(&[1.0, f64::NAN]).unwrap()));
+    }
+
+    #[test]
+    fn cholesky_in_place_reconstructs_the_matrix() {
+        let a = [4.0, 2.0, -2.0, 2.0, 10.0, 1.0, -2.0, 1.0, 6.0];
+        let mut l = a;
+        assert!(cholesky_in_place(&mut l, 3));
+        for i in 0..3 {
+            for j in 0..=i {
+                let product: f64 = (0..=j).map(|k| l[i * 3 + k] * l[j * 3 + k]).sum();
+                assert!((product - a[i * 3 + j]).abs() < 1e-12, "({i}, {j})");
+            }
+        }
+        // The strict upper triangle is not touched.
+        assert_eq!([l[1], l[2], l[5]], [a[1], a[2], a[5]]);
+        let mut indefinite = [1.0, 2.0, 2.0, 1.0];
+        assert!(!cholesky_in_place(&mut indefinite, 2));
+        assert!(cholesky_in_place(&mut [], 0));
     }
 }

@@ -2,8 +2,8 @@
 //! characterisations.
 //!
 //! The sweep resumes every wait point from the recorded pure-ET state and
-//! stops each run on the plant-row tail bound; both shortcuts must leave
-//! every curve bit-identical to `characterize_dwell_vs_wait_reference` (the
+//! stops each run on the plant-row tail bound or the verified invariant
+//! ellipsoid; these shortcuts must leave every curve bit-identical to `characterize_dwell_vs_wait_reference` (the
 //! linear loops) and `SaturatedSwitchedModel::characterize_reference` (the
 //! torque-limited rig). `DwellWaitCurve`'s `PartialEq` compares every
 //! point's floats exactly, so `assert_eq!` on curves is a bit-level check
@@ -11,7 +11,10 @@
 //!
 //! Covered: the six derived-fleet applications over a grid of disturbance
 //! scales and threshold factors, on one-shot and on shared warm workspaces;
-//! the saturated rig at several initial angles; and the edge cases an
+//! random stable ET/TT closed-loop pairs of augmented order 3–5 with random
+//! disturbances and thresholds (a proptest: an invariant-ellipsoid level
+//! that is too large shows on plants the case study does not have); the
+//! saturated rig at several initial angles; and the edge cases an
 //! off-by-one in the resume would break — a state already below the
 //! threshold (ξᴱᵀ = 0), a horizon cap equal to ξᴱᵀ, a cap one sample
 //! shorter, and an unstable pair that never settles.
@@ -22,7 +25,8 @@ use automotive_cps::control::{
     ControlError, DwellWaitCurve, SaturatedSwitchedModel,
 };
 use automotive_cps::core::{case_study, experiments, ControlApplication};
-use automotive_cps::linalg::Matrix;
+use automotive_cps::linalg::{spectral_radius, Matrix};
+use proptest::prelude::*;
 
 /// Horizon cap of the parity runs: 24 s at the 20 ms case-study period,
 /// beyond every settling time on the grid below (so all runs return a
@@ -218,4 +222,62 @@ fn unstable_pair_reports_the_same_horizon_error() {
         Err(ControlError::HorizonExceeded { what: "pure ET settling", steps: 50 })
     );
     assert_eq!(characterize_dwell_vs_wait(&a1, &stable, &config), reference);
+}
+
+/// A random `order × order` matrix from `entries` (upper off-diagonals
+/// scaled by `skew`, so large skews give strongly non-normal loops),
+/// rescaled to spectral radius `radius`.
+fn stable_loop(order: usize, entries: &[f64], skew: f64, radius: f64) -> Option<Matrix> {
+    let mut data = vec![0.0; order * order];
+    for row in 0..order {
+        for col in 0..order {
+            let scale = if col > row { skew } else { 1.0 };
+            data[row * order + col] = scale * entries[row * order + col];
+        }
+    }
+    let raw = Matrix::from_vec(order, order, data).expect("square");
+    let rho = spectral_radius(&raw).ok()?;
+    (rho > 1e-3).then(|| raw.scale(radius / rho))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn random_stable_pairs_match_reference(
+        order in 3usize..6,
+        plant_share in 0.0f64..1.0,
+        et_entries in proptest::collection::vec(-1.0f64..1.0, 25),
+        tt_entries in proptest::collection::vec(-1.0f64..1.0, 25),
+        skews in (1.0f64..8.0, 1.0f64..8.0),
+        radii in (0.9f64..0.995, 0.5f64..0.97),
+        disturbance in proptest::collection::vec(-1.0f64..1.0, 4),
+        threshold_factor in 0.02f64..0.5,
+    ) {
+        let plant_order = 1 + (plant_share * (order - 1) as f64) as usize;
+        let a1 = stable_loop(order, &et_entries, skews.0, radii.0);
+        let a2 = stable_loop(order, &tt_entries, skews.1, radii.1);
+        prop_assume!(a1.is_some() && a2.is_some());
+        let (a1, a2) = (a1.expect("ET loop"), a2.expect("TT loop"));
+        // Plant states disturbed, delayed inputs at rest, as in the sweep.
+        let mut initial = disturbance[..plant_order].to_vec();
+        initial.resize(order, 0.0);
+        let plant_norm = initial.iter().map(|v| v * v).sum::<f64>().sqrt();
+        prop_assume!(plant_norm > 1e-3);
+        let config = CharacterizationConfig {
+            period: 0.01,
+            threshold: threshold_factor * plant_norm,
+            initial_state: initial,
+            plant_order,
+            horizon: HORIZON,
+        };
+        let reference = characterize_dwell_vs_wait_reference(&a1, &a2, &config);
+        prop_assert_eq!(characterize_dwell_vs_wait(&a1, &a2, &config), reference.clone());
+        // Cold, then warm on the same workspace.
+        let mut workspace = CharacterizationWorkspace::new();
+        for _ in 0..2 {
+            let pooled = characterize_dwell_vs_wait_with(&a1, &a2, &config, &mut workspace);
+            prop_assert_eq!(pooled, reference.clone());
+        }
+    }
 }

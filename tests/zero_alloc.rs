@@ -181,6 +181,8 @@ fn kernel_and_runtime_hot_paths_do_not_allocate() {
         .expect("warm-up characterisation");
     let state_entries = workspace.state_pool_size();
     let power_entries = workspace.power_pool_size();
+    let lyapunov_entries = workspace.lyapunov_pool_size();
+    assert_eq!(lyapunov_entries, 1, "the servo's certified P pair must be pooled");
     let (mut pooled, _norms) = workspace
         .switched_kernel(&a1, &a2, servo.spec().plant.order())
         .expect("pooled kernel on warm scratch");
@@ -205,13 +207,15 @@ fn kernel_and_runtime_hot_paths_do_not_allocate() {
     );
     assert_eq!(workspace.state_pool_size(), state_entries, "warm pool must not grow");
     assert_eq!(workspace.power_pool_size(), power_entries, "warm pool must not grow");
+    assert_eq!(workspace.lyapunov_pool_size(), lyapunov_entries, "warm pool must not grow");
 
     // The one-pass sweep records the pure-ET states every wait point
     // resumes from in a pooled buffer, so on a warm workspace no
     // allocation may depend on the sweep length: the same application at
     // disturbance ×0.8 and ×1.2 (sweeps of different lengths) must make
-    // the same number of allocations — the per-application curve and
-    // stability pre-check temporaries, nothing per wait point.
+    // the same number of allocations — the per-application curve,
+    // stability pre-check temporaries and the one Lyapunov solve (plus the
+    // level check's eigenvalues) per mode, nothing per wait point.
     let scaled: Vec<_> = [0.8, 1.2]
         .iter()
         .map(|factor| {
@@ -239,6 +243,9 @@ fn kernel_and_runtime_hot_paths_do_not_allocate() {
         "warm characterisation allocations depend on the sweep length ({sweep_lengths:?} \
          points made {counts:?} allocations)"
     );
+    assert_eq!(workspace.state_pool_size(), state_entries, "warm pool must not grow");
+    assert_eq!(workspace.power_pool_size(), power_entries, "warm pool must not grow");
+    assert_eq!(workspace.lyapunov_pool_size(), lyapunov_entries, "warm pool must not grow");
 
     // Branch-and-bound slot allocation: construction (priority order,
     // demand table, slot pool, greedy incumbent seed) may allocate; the
