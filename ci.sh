@@ -175,9 +175,16 @@ fi
 # reference curves every Table-I row is derived from; same reasoning, same
 # gate.
 step "characterisation parity suite is collected (tests/characterization_parity.rs)"
-if ! cargo test -q -p automotive-cps --test characterization_parity -- --list \
-        | grep ": test" > /dev/null; then
+parity_tests="$(cargo test -q -p automotive-cps --test characterization_parity -- --list)"
+if ! grep ": test" > /dev/null <<<"$parity_tests"; then
     echo "ERROR: the characterization_parity suite was skipped or is empty" >&2
+    exit 1
+fi
+# The random-pair proptest is the case that crosses the settle engine's
+# storage dispatch (augmented orders 1-6 on stack arrays, pooled buffers
+# above), so it is gated by name.
+if ! grep "random_stable_pairs_match_reference: test" > /dev/null <<<"$parity_tests"; then
+    echo "ERROR: characterization_parity lost random_stable_pairs_match_reference" >&2
     exit 1
 fi
 

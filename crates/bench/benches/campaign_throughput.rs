@@ -7,8 +7,9 @@
 //! corruption, dynamic-segment contention) plus sensor-noise degradation,
 //! measured through the allocation-free `run_metrics_into` hot path. The
 //! campaign streams scenarios through its bounded channel, so memory stays
-//! O(workers) at any scenario count; on a single-core host the worker
-//! counts merely demonstrate determinism. The `faulty24_workers` rungs are
+//! O(workers) at any scenario count. The 2-vCPU container reports an
+//! available parallelism of 2, so worker counts above 2 only demonstrate
+//! determinism there. The `faulty24_workers` rungs are
 //! the campaign rung of the perf history; `nominal24_workers/1` prices the
 //! fault layer against the nominal path.
 

@@ -12,14 +12,19 @@
 //! saturated loop keeps the full-state bound its actuator guard needs.
 //!
 //! The design-layer split: `derived_fleet_pass` times what fleet design
-//! pays per six-app fleet (sweep + fit per app, one thread), and
+//! pays per six-app fleet (certification + sweep + fit per app, one
+//! thread). `certify_six_pairs` times the per-application set-up alone:
+//! `SwitchedKernel::new` on the six closed-loop pairs, i.e. both modes'
+//! tail-bound power iterations and ellipsoid certificates.
 //! `fit_non_monotonic` times the pruned model fit alone on the same six
-//! curves, so the sweep's share is their difference. The fit's exhaustive
-//! O(P²) oracle is test-only (`cps-core`'s `characterize::reference`), so
-//! its cost is read from the perf history rather than timed here.
+//! curves. The sweep's share is the pass less the other two. The fit's
+//! exhaustive O(P²) oracle is test-only (`cps-core`'s
+//! `characterize::reference`), so its cost is read from the perf history
+//! rather than timed here.
 
 use cps_control::{
     characterize_dwell_vs_wait, characterize_dwell_vs_wait_reference, CharacterizationConfig,
+    SwitchedKernel,
 };
 use cps_core::{
     case_study, characterize_application, experiments, fit_non_monotonic, FleetDesigner,
@@ -83,7 +88,8 @@ fn bench(c: &mut Criterion) {
         b.iter(|| black_box(characterize_application(&app).expect("curve")))
     });
     // The design-layer split: one six-app characterisation pass as fleet
-    // design runs it (sweep + fit per app), and the fit alone.
+    // design runs it (certification + sweep + fit per app), the
+    // certification alone and the fit alone.
     let designer = FleetDesigner::new().with_threads(1);
     let curves: Vec<_> = fleet
         .iter()
@@ -91,6 +97,20 @@ fn bench(c: &mut Criterion) {
         .collect();
     group.bench_function("derived_fleet_pass", |b| {
         b.iter(|| black_box(designer.characterize(&fleet).expect("timing table")))
+    });
+    let pairs: Vec<_> = fleet
+        .iter()
+        .map(|app| {
+            let (et, tt) = (app.et_controller().closed_loop(), app.tt_controller().closed_loop());
+            (et, tt, app.spec().plant.order())
+        })
+        .collect();
+    group.bench_function("certify_six_pairs", |b| {
+        b.iter(|| {
+            for &(et, tt, plant_order) in &pairs {
+                black_box(SwitchedKernel::new(et, tt, plant_order).expect("switched kernel"));
+            }
+        })
     });
     group.bench_function("fit_non_monotonic", |b| {
         b.iter(|| {

@@ -9,9 +9,9 @@
 //!   now routed through the workspace-threaded designer.
 //! * `designer_sequential_24` / `designer_parallel_24` — fleet-design
 //!   throughput on a 24-application scaled fleet, one worker vs the
-//!   machine's available parallelism (on the single-core CI container both
-//!   run the same sequential path; re-measure on a multi-core host for the
-//!   speed-up).
+//!   machine's available parallelism (2 on the 2-vCPU container the perf
+//!   history is recorded on; with one core both rungs run the same
+//!   sequential path).
 //! * `bus_sweep_shared_characterization` vs
 //!   `bus_sweep_recharacterize_baseline` — the bus-configuration sweep with
 //!   one shared characterisation pass ([`BusConfigSweep::scenarios_for`])

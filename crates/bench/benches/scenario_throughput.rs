@@ -10,8 +10,9 @@
 //! a 20 ms control period into the FlexRay bus at ~60% (4 cycles of 10
 //! static slots plus the dynamic segment, with frame reassignment and
 //! queueing), the six `StepKernel` steps and norms at ~30% and the
-//! allocation runtime at ~10%. Scaling is near-linear in cores; on a
-//! single-core host the thread counts merely demonstrate determinism.
+//! allocation runtime at ~10%. Scenarios are independent, so throughput can
+//! scale with cores; the 2-vCPU container reports an available parallelism
+//! of 2, so thread counts above 2 only demonstrate determinism there.
 
 use cps_core::{case_study, ScenarioBatch, ScenarioSpec};
 use cps_flexray::FlexRayConfig;

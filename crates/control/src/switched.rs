@@ -216,19 +216,16 @@ fn tail_bounds(a: &Matrix, plant_order: usize) -> Result<TailBounds> {
             reason: format!("power norm bound needs a square matrix, got {:?}", a.shape()),
         });
     }
-    let mut power = Matrix::zeros(a.rows(), a.cols());
-    let mut next = Matrix::zeros(a.rows(), a.cols());
-    tail_bounds_into(a, plant_order, &mut power, &mut next)
+    tail_bounds_into(a, plant_order, &mut PowerScratch::new(a.rows()))
 }
 
-/// The buffer-reusing core of [`tail_bounds`]: `power` and `next` are
-/// caller-provided `n × n` scratch matrices (their contents are
-/// overwritten); the characterisation workspace pools them per matrix order.
+/// The buffer-reusing core of [`tail_bounds`] for a square `a`. Orders 1–6
+/// run the power iteration on stack arrays; larger ones on the `scratch`
+/// matrix pair, which the characterisation workspace pools per order.
 fn tail_bounds_into(
     a: &Matrix,
     plant_order: usize,
-    power: &mut Matrix,
-    next: &mut Matrix,
+    scratch: &mut PowerScratch,
 ) -> Result<TailBounds> {
     // ρ(A) ≥ 1 means no power ever contracts — skip the power iteration
     // entirely instead of grinding to the cap.
@@ -237,24 +234,96 @@ fn tail_bounds_into(
             return Ok(UNBOUNDED);
         }
     }
-    power.copy_from(a)?;
     // Row-major storage: the plant rows are the leading block.
     let plant_len = plant_order.min(a.rows()) * a.cols();
+    Ok(match a.rows() {
+        1 => stack_power_iteration::<1>(a, plant_len),
+        2 => stack_power_iteration::<2>(a, plant_len),
+        3 => stack_power_iteration::<3>(a, plant_len),
+        4 => stack_power_iteration::<4>(a, plant_len),
+        5 => stack_power_iteration::<5>(a, plant_len),
+        6 => stack_power_iteration::<6>(a, plant_len),
+        _ => {
+            let PowerScratch { power, next } = scratch;
+            power.copy_from(a)?;
+            power_iteration(a, plant_len, power, next)
+        }
+    })
+}
+
+/// [`power_iteration`] of the `N × N` matrix `a` on stack arrays.
+fn stack_power_iteration<const N: usize>(a: &Matrix, plant_len: usize) -> TailBounds {
+    let mut power = StackSquare::<N>([0.0; STACK_SQUARE_LEN]);
+    power.0[..N * N].copy_from_slice(a.as_slice());
+    power_iteration(a, plant_len, &mut power, &mut StackSquare([0.0; STACK_SQUARE_LEN]))
+}
+
+/// Square storage of the tail-bound power iteration: [`StackSquare`] for
+/// orders 1–6, a [`Matrix`] above. Both multiply in
+/// [`Matrix::matmul_kernel`]'s order, so the bounds do not depend on it.
+trait PowerStore {
+    /// The row-major entries.
+    fn entries(&self) -> &[f64];
+    /// Writes `self·a` into `out`.
+    fn times(&self, a: &Matrix, out: &mut Self);
+}
+
+/// Room for the entries of the largest stack-stored square, 6 × 6.
+const STACK_SQUARE_LEN: usize = 36;
+
+/// An `N × N` row-major matrix in the leading `N²` entries of a stack array.
+struct StackSquare<const N: usize>([f64; STACK_SQUARE_LEN]);
+
+impl<const N: usize> PowerStore for StackSquare<N> {
+    fn entries(&self) -> &[f64] {
+        &self.0[..N * N]
+    }
+
+    #[inline]
+    fn times(&self, a: &Matrix, out: &mut Self) {
+        // Compile-time lengths for the kernel, as in `StateStore::step`.
+        let (lhs, rhs) = (&self.0[..N * N], &a.as_slice()[..N * N]);
+        cps_linalg::matmul_kernel_n::<N>(lhs, rhs, &mut out.0[..N * N]);
+    }
+}
+
+impl PowerStore for Matrix {
+    fn entries(&self) -> &[f64] {
+        self.as_slice()
+    }
+
+    fn times(&self, a: &Matrix, out: &mut Self) {
+        self.matmul_kernel(a, out);
+    }
+}
+
+/// The power iteration behind [`TailBounds`]: `power` holds `a` on entry,
+/// `next` is scratch of the same order. Multiplies out powers until one
+/// has Frobenius norm below 1, tracking the running maxima of the full and
+/// plant-row (the first `plant_len` entries) norms.
+fn power_iteration<'s, P: PowerStore>(
+    a: &Matrix,
+    plant_len: usize,
+    mut power: &'s mut P,
+    mut next: &'s mut P,
+) -> TailBounds {
     let mut bounds = TailBounds { full: 1.0, plant: 0.0 };
     for _ in 0..POWER_BOUND_MAX_POWERS {
-        let norm = power.frobenius_norm();
+        let entries = power.entries();
+        // The Frobenius norm, summed as `Matrix::frobenius_norm` sums it.
+        let norm = vec_norm(entries);
         if !norm.is_finite() {
-            return Ok(UNBOUNDED);
+            return UNBOUNDED;
         }
         bounds.full = bounds.full.max(norm);
-        bounds.plant = bounds.plant.max(vec_norm(&power.as_slice()[..plant_len]));
+        bounds.plant = bounds.plant.max(vec_norm(&entries[..plant_len]));
         if norm < 1.0 {
-            return Ok(bounds);
+            return bounds;
         }
-        power.matmul_into(a, next)?;
-        std::mem::swap(power, next);
+        power.times(a, next);
+        std::mem::swap(&mut power, &mut next);
     }
-    Ok(UNBOUNDED)
+    UNBOUNDED
 }
 
 /// Decrease margin δ of the first certificate check, `P − AᵀPA ⪰ δ·I`
@@ -284,7 +353,7 @@ impl ExitBounds {
     /// Whether every plant norm after the state `z` is provably at or below
     /// `threshold` while the mode stays fixed. `p` is the mode's certified
     /// `P`. The quadratic form is only evaluated where the tail bound fails.
-    fn settled(&self, p: &Matrix, z: &[f64], threshold: f64) -> bool {
+    fn settled(&self, p: &[f64], z: &[f64], threshold: f64) -> bool {
         let level = threshold * EARLY_EXIT_SAFETY;
         // Every later plant norm is ≤ plant·‖z‖ …
         vec_norm(z) * self.plant <= level
@@ -293,9 +362,10 @@ impl ExitBounds {
     }
 }
 
-/// `zᵀ·P·z`, summed row by row.
-fn quadratic_form(p: &Matrix, z: &[f64]) -> f64 {
-    p.as_slice()
+/// `zᵀ·P·z` for the row-major `P`, summed row by row. On a `[f64; N]`
+/// state the `n·n` re-slice has a compile-time length, so the loops unroll.
+fn quadratic_form(p: &[f64], z: &[f64]) -> f64 {
+    p[..z.len() * z.len()]
         .chunks_exact(z.len())
         .zip(z)
         .map(|(row, zi)| zi * row.iter().zip(z).map(|(pij, zj)| pij * zj).sum::<f64>())
@@ -313,7 +383,7 @@ fn exit_bounds_into(
     p: &mut Matrix,
     factor: &mut [f64],
 ) -> Result<ExitBounds> {
-    let plant = tail_bounds_into(a, plant_order, &mut scratch.power, &mut scratch.next)?.plant;
+    let plant = tail_bounds_into(a, plant_order, scratch)?.plant;
     let mu = if plant.is_finite() {
         certify_ellipsoid(a, plant_order, p, &mut scratch.next, factor)
     } else {
@@ -646,12 +716,12 @@ fn sweep<S: SettleSim>(
 /// invariant ellipsoid `{z : zᵀPz ≤ c}` of `AᵀPA − P + I = 0` (one
 /// Lyapunov solve per mode). Every subsequent
 /// [`SwitchedKernel::settle_steps`] / [`SwitchedKernel::dwell_steps`] call
-/// is a bare `matvec_kernel` loop on two pre-allocated state buffers that
-/// stops as soon as either test proves the remaining trajectory settled,
-/// instead of simulating a fixed full horizon and scanning backwards. The
-/// quadratic form runs only on samples where the cheaper tail bound fails.
-/// Results are identical to the full-horizon reference path point for
-/// point.
+/// is a bare matvec loop — on stack arrays for augmented orders 1–6, on two
+/// pre-allocated state buffers above — that stops as soon as either test
+/// proves the remaining trajectory settled, instead of simulating a fixed
+/// full horizon and scanning backwards. The quadratic form runs only on
+/// samples where the cheaper tail bound fails. Results are identical to the
+/// full-horizon reference path point for point.
 #[derive(Debug)]
 pub struct SwitchedKernel<'m> {
     a1: &'m Matrix,
@@ -763,63 +833,189 @@ impl<'m> SwitchedKernel<'m> {
     }
 
     /// The settle-loop view over this kernel's own buffers.
-    fn drive(&mut self) -> SwitchedDrive<'m, '_> {
+    fn drive(&mut self) -> SwitchedDrive<'_> {
         SwitchedDrive {
-            a1: self.a1,
-            a2: self.a2,
-            plant_order: self.plant_order,
-            et: self.et,
-            tt: self.tt,
-            et_p: &self.et_p,
-            tt_p: &self.tt_p,
+            modes: LinearModes {
+                a1: self.a1.as_slice(),
+                a2: self.a2.as_slice(),
+                plant_order: self.plant_order,
+                et: self.et,
+                tt: self.tt,
+                et_p: self.et_p.as_slice(),
+                tt_p: self.tt_p.as_slice(),
+            },
             z: &mut self.z,
             z_next: &mut self.z_next,
         }
     }
 }
 
-/// The shared settle-loop state of the linear switched simulation, borrowed
-/// either from a [`SwitchedKernel`]'s own buffers or from the
-/// [`CharacterizationWorkspace`] pool — one [`SettleSim`] implementation
-/// drives both, so the pooled path is bit-identical by construction.
-struct SwitchedDrive<'m, 'b> {
-    a1: &'m Matrix,
-    a2: &'m Matrix,
+/// What the linear settle engine reads but never writes: the switched pair
+/// and each mode's certified `P` as flat rows of [`Matrix::as_slice`], and
+/// each mode's exit bounds.
+#[derive(Debug, Clone, Copy)]
+struct LinearModes<'a> {
+    a1: &'a [f64],
+    a2: &'a [f64],
     plant_order: usize,
     et: ExitBounds,
     tt: ExitBounds,
-    et_p: &'b Matrix,
-    tt_p: &'b Matrix,
-    z: &'b mut Vec<f64>,
-    z_next: &'b mut Vec<f64>,
+    et_p: &'a [f64],
+    tt_p: &'a [f64],
 }
 
-impl SwitchedDrive<'_, '_> {
+/// State storage of the linear settle engine: `[f64; N]` on the stack for
+/// augmented orders `N` of 1–6, a pooled buffer pair above. Every storage
+/// multiplies in [`Matrix::matvec_kernel`]'s order (one running sum per
+/// row, ascending `k` from `0.0`), so the choice never changes a bit.
+trait StateStore: AsRef<[f64]> + AsMut<[f64]> {
+    /// Overwrites the state with `a·state`; `spare` is scratch of the same
+    /// order.
+    fn step(&mut self, spare: &mut Self, a: &[f64]);
+}
+
+impl<const N: usize> StateStore for [f64; N] {
+    #[inline]
+    fn step(&mut self, _spare: &mut Self, a: &[f64]) {
+        let z = *self;
+        // Re-slicing to `N·N` gives the kernel a compile-time length, so
+        // both of its loops unroll fully.
+        cps_linalg::matvec_kernel_n::<N>(&a[..N * N], &z, self);
+    }
+}
+
+impl StateStore for &mut [f64] {
+    #[inline]
+    fn step(&mut self, spare: &mut Self, a: &[f64]) {
+        for (row, slot) in a.chunks_exact(self.len()).zip(spare.iter_mut()) {
+            let mut acc = 0.0;
+            for (a, x) in row.iter().zip(self.iter()) {
+                acc += a * x;
+            }
+            *slot = acc;
+        }
+        std::mem::swap(self, spare);
+    }
+}
+
+/// The one linear settle engine, generic over its [`StateStore`]: one
+/// [`SettleSim`] body serves every storage, so the stack and pooled paths
+/// are bit-identical by construction.
+struct LinearSim<'a, Z> {
+    modes: LinearModes<'a>,
+    z: Z,
+    z_next: Z,
+}
+
+impl<Z: StateStore> SettleSim for LinearSim<'_, Z> {
+    fn plant_norm(&self) -> f64 {
+        plant_state_norm(self.z.as_ref(), self.modes.plant_order)
+    }
+
+    fn provably_settled(&self, et_mode: bool, threshold: f64) -> bool {
+        let modes = &self.modes;
+        let (bounds, p) = if et_mode { (modes.et, modes.et_p) } else { (modes.tt, modes.tt_p) };
+        bounds.settled(p, self.z.as_ref(), threshold)
+    }
+
+    fn advance(&mut self, et_phase: bool) {
+        let dynamics = if et_phase { self.modes.a1 } else { self.modes.a2 };
+        self.z.step(&mut self.z_next, dynamics);
+    }
+
+    fn load_initial(&mut self, initial_state: &[f64]) -> Result<()> {
+        let z = self.z.as_mut();
+        if initial_state.len() != z.len() {
+            return Err(ControlError::InvalidModel {
+                reason: format!(
+                    "initial state has length {} but the system has {} states",
+                    initial_state.len(),
+                    z.len()
+                ),
+            });
+        }
+        z.copy_from_slice(initial_state);
+        Ok(())
+    }
+
+    fn state_len(&self) -> usize {
+        self.z.as_ref().len()
+    }
+
+    fn save_state(&self, out: &mut Vec<f64>) {
+        out.extend_from_slice(self.z.as_ref());
+    }
+
+    fn load_state(&mut self, state: &[f64]) {
+        self.z.as_mut().copy_from_slice(state);
+    }
+}
+
+/// Evaluates `$body` with the pattern `$sim` bound to a [`LinearSim`] over
+/// the [`SwitchedDrive`] `$drive`: on `[f64; N]` state for augmented order
+/// `N` in 1–6, on the drive's buffers above. The storage is picked once per
+/// call, so every step of the run is monomorphised.
+macro_rules! with_linear_sim {
+    ($drive:expr, |$sim:pat_param| $body:expr) => {{
+        let SwitchedDrive { modes, z, z_next } = $drive;
+        match z.len() {
+            1 => with_linear_sim!(@stack 1, modes, $sim, $body),
+            2 => with_linear_sim!(@stack 2, modes, $sim, $body),
+            3 => with_linear_sim!(@stack 3, modes, $sim, $body),
+            4 => with_linear_sim!(@stack 4, modes, $sim, $body),
+            5 => with_linear_sim!(@stack 5, modes, $sim, $body),
+            6 => with_linear_sim!(@stack 6, modes, $sim, $body),
+            _ => {
+                let $sim = LinearSim { modes, z, z_next };
+                $body
+            }
+        }
+    }};
+    (@stack $n:literal, $modes:ident, $sim:pat_param, $body:expr) => {{
+        let $sim = LinearSim { modes: $modes, z: [0.0; $n], z_next: [0.0; $n] };
+        $body
+    }};
+}
+
+/// The linear switched simulation borrowed either from a
+/// [`SwitchedKernel`]'s own buffers or from the
+/// [`CharacterizationWorkspace`] pool; its calls run the one
+/// [`LinearSim`] engine, so the pooled path is bit-identical by
+/// construction. The buffers back the engine above order 6 only.
+struct SwitchedDrive<'b> {
+    modes: LinearModes<'b>,
+    z: &'b mut [f64],
+    z_next: &'b mut [f64],
+}
+
+impl SwitchedDrive<'_> {
     /// The one validation + settle implementation behind
     /// [`SwitchedKernel::settle_steps`] and
     /// [`PooledSwitchedKernel::settle_steps`].
     fn settle_steps(
-        &mut self,
+        self,
         initial_state: &[f64],
         threshold: f64,
         k_switch: usize,
         horizon: usize,
         record: Option<&mut Vec<f64>>,
     ) -> Result<Option<usize>> {
-        self.load_initial(initial_state)?;
-        if !(threshold > 0.0) {
-            return Err(ControlError::InvalidModel {
-                reason: format!("threshold must be positive, got {threshold}"),
-            });
-        }
-        let clamped_switch = k_switch.min(horizon);
-        Ok(settle_driver(self, threshold, clamped_switch, horizon, Resume::START, record, None))
+        with_linear_sim!(self, |mut sim| {
+            sim.load_initial(initial_state)?;
+            if !(threshold > 0.0) {
+                return Err(ControlError::InvalidModel {
+                    reason: format!("threshold must be positive, got {threshold}"),
+                });
+            }
+            let (clamped_switch, from) = (k_switch.min(horizon), Resume::START);
+            Ok(settle_driver(&mut sim, threshold, clamped_switch, horizon, from, record, None))
+        })
     }
 
     /// The one dwell implementation behind [`SwitchedKernel::dwell_steps`]
     /// and [`PooledSwitchedKernel::dwell_steps`].
     fn dwell_steps(
-        &mut self,
+        self,
         initial_state: &[f64],
         threshold: f64,
         wait_steps: usize,
@@ -830,53 +1026,20 @@ impl SwitchedDrive<'_, '_> {
             .ok_or(ControlError::HorizonExceeded { what: "switched settling", steps: horizon })?;
         Ok(settle.saturating_sub(wait_steps))
     }
-}
 
-impl SettleSim for SwitchedDrive<'_, '_> {
-    fn plant_norm(&self) -> f64 {
-        plant_state_norm(self.z, self.plant_order)
-    }
-
-    fn provably_settled(&self, et_mode: bool, threshold: f64) -> bool {
-        let (bounds, p) = if et_mode { (self.et, self.et_p) } else { (self.tt, self.tt_p) };
-        bounds.settled(p, self.z, threshold)
-    }
-
-    fn advance(&mut self, et_phase: bool) {
-        let dynamics = if et_phase { self.a1 } else { self.a2 };
-        dynamics.matvec_kernel(self.z, self.z_next);
-        std::mem::swap(self.z, self.z_next);
-    }
-
-    fn load_initial(&mut self, initial_state: &[f64]) -> Result<()> {
-        if initial_state.len() != self.z.len() {
-            return Err(ControlError::InvalidModel {
-                reason: format!(
-                    "initial state has length {} but the system has {} states",
-                    initial_state.len(),
-                    self.z.len()
-                ),
-            });
-        }
-        self.z.copy_from_slice(initial_state);
-        Ok(())
-    }
-
-    fn state_len(&self) -> usize {
-        self.z.len()
-    }
-
-    fn save_state(&self, out: &mut Vec<f64>) {
-        out.extend_from_slice(self.z);
-    }
-
-    fn load_state(&mut self, state: &[f64]) {
-        self.z.copy_from_slice(state);
+    /// The dwell/wait [`sweep`] of this switched pair.
+    fn sweep(
+        self,
+        config: &CharacterizationConfig,
+        et_norms: &mut Vec<f64>,
+        et_states: &mut Vec<f64>,
+    ) -> Result<DwellWaitCurve> {
+        with_linear_sim!(self, |mut sim| sweep(&mut sim, config, et_norms, et_states))
     }
 }
 
 /// Switched-state buffer pair of the workspace pool, keyed by the augmented
-/// state order.
+/// state order: the settle engine's state above order 6.
 #[derive(Debug)]
 struct StateScratch {
     z: Vec<f64>,
@@ -884,6 +1047,8 @@ struct StateScratch {
 }
 
 /// Power-iteration matrix pair of the workspace pool, keyed by matrix order.
+/// The pair holds the power iteration above order 6; `next` is also the
+/// `P·A` scratch of every ellipsoid certificate.
 #[derive(Debug)]
 struct PowerScratch {
     power: Matrix,
@@ -988,8 +1153,9 @@ impl SatBuffers {
 /// counterpart of [`crate::DesignWorkspace`].
 ///
 /// Every dwell/wait characterisation needs the same machinery: the switched
-/// state double-buffers of the settle loop, the matrix pair of the
-/// tail-bound power iteration, each mode's certified Lyapunov matrix `P`
+/// state double-buffers of the settle loop and the matrix pair of the
+/// tail-bound power iteration (both on stack arrays up to augmented order 6,
+/// on these buffers above), each mode's certified Lyapunov matrix `P`
 /// with the Cholesky buffer of its checks, the saturated-sim buffer bundle
 /// of the rig model, and the recording of the pure-ET run — its norm
 /// trajectory and its states, the shared prefix every wait point of the
@@ -1065,7 +1231,7 @@ impl CharacterizationWorkspace {
             |entry| entry.power.rows() == order,
             || PowerScratch::new(order),
         );
-        tail_bounds_into(a, plant_order, &mut entry.power, &mut entry.next)
+        tail_bounds_into(a, plant_order, entry)
     }
 
     /// A pooled switched kernel over the matrix pair, plus the pooled
@@ -1196,17 +1362,19 @@ impl<'m> PooledSwitchedKernel<'m, '_> {
     }
 
     /// The settle-loop view over the pooled buffers.
-    fn drive(&mut self) -> SwitchedDrive<'m, '_> {
+    fn drive(&mut self) -> SwitchedDrive<'_> {
         SwitchedDrive {
-            a1: self.a1,
-            a2: self.a2,
-            plant_order: self.plant_order,
-            et: self.et,
-            tt: self.tt,
-            et_p: self.et_p,
-            tt_p: self.tt_p,
-            z: &mut *self.z,
-            z_next: &mut *self.z_next,
+            modes: LinearModes {
+                a1: self.a1.as_slice(),
+                a2: self.a2.as_slice(),
+                plant_order: self.plant_order,
+                et: self.et,
+                tt: self.tt,
+                et_p: self.et_p.as_slice(),
+                tt_p: self.tt_p.as_slice(),
+            },
+            z: self.z,
+            z_next: self.z_next,
         }
     }
 }
@@ -1311,7 +1479,7 @@ pub fn characterize_dwell_vs_wait_with(
     config.validate()?;
     let (mut kernel, et_norms, et_states) =
         workspace.switched_parts(a1, a2, config.plant_order)?;
-    sweep(&mut kernel.drive(), config, et_norms, et_states)
+    kernel.drive().sweep(config, et_norms, et_states)
 }
 
 /// The original full-horizon characterisation: every settling computation
@@ -2074,10 +2242,10 @@ mod tests {
                 );
                 for direction in directions {
                     let level = (threshold * EARLY_EXIT_SAFETY).powi(2);
-                    let scale = (level / (mu * quadratic_form(&p, &direction))).sqrt();
+                    let scale = (level / (mu * quadratic_form(p.as_slice(), &direction))).sqrt();
                     let mut z: Vec<f64> =
                         direction.iter().map(|x| x * scale * (1.0 - 1e-9)).collect();
-                    assert!(ellipsoid_only.settled(&p, &z, threshold), "case {case}");
+                    assert!(ellipsoid_only.settled(p.as_slice(), &z, threshold), "case {case}");
                     probed += 1;
                     let mut next = vec![0.0; order];
                     for step in 0..=3000 {
@@ -2135,9 +2303,9 @@ mod tests {
 
     /// A [`SettleSim`] whose state snapshots are lost: the sweep must report
     /// the short recording instead of returning a truncated curve.
-    struct ForgetfulSim<'m, 'b>(SwitchedDrive<'m, 'b>);
+    struct ForgetfulSim<S>(S);
 
-    impl SettleSim for ForgetfulSim<'_, '_> {
+    impl<S: SettleSim> SettleSim for ForgetfulSim<S> {
         fn plant_norm(&self) -> f64 {
             self.0.plant_norm()
         }
@@ -2165,12 +2333,14 @@ mod tests {
         let config = servo_config();
         let mut kernel = SwitchedKernel::new(&a1, &a2, config.plant_order).unwrap();
         let (mut norms, mut states) = (Vec::new(), Vec::new());
-        let error = sweep(&mut ForgetfulSim(kernel.drive()), &config, &mut norms, &mut states)
-            .unwrap_err();
+        let error = with_linear_sim!(kernel.drive(), |sim| {
+            sweep(&mut ForgetfulSim(sim), &config, &mut norms, &mut states)
+        })
+        .unwrap_err();
         assert!(matches!(error, ControlError::InvalidModel { .. }), "{error}");
         assert!(error.to_string().contains("pure-ET recording"), "{error}");
         // The honest sim on the same buffers returns the full curve.
-        let curve = sweep(&mut kernel.drive(), &config, &mut norms, &mut states).unwrap();
+        let curve = kernel.drive().sweep(&config, &mut norms, &mut states).unwrap();
         assert_eq!(curve, characterize_dwell_vs_wait_reference(&a1, &a2, &config).unwrap());
     }
 

@@ -34,10 +34,11 @@
 //! and reused across every candidate bus instead of re-derived per
 //! configuration).
 //!
-//! Note: the container this repository grows in is single-core, so the
-//! parallel fan-out degenerates to the sequential path there; the speedup
-//! claim of the `fleet_design` bench should be re-measured on a multi-core
-//! host (see ROADMAP).
+//! Note: with one available core the parallel fan-out degenerates to the
+//! sequential path. The 2-vCPU Xeon container the perf history is recorded
+//! on reports an available parallelism of 2, so there the parallel path
+//! runs two workers; the `fleet_design` bench's scaling rungs are still to
+//! be re-measured with per-worker utilisation (see ROADMAP).
 
 use crate::application::{ApplicationSpec, ControlApplication};
 use crate::characterize::derive_timing_params_with;

@@ -14,10 +14,10 @@
 //!   `matvec_kernel` / `matmul_kernel` / [`axpy`] inner loops that simulation
 //!   kernels call on pre-allocated workspaces (validate once, then
 //!   allocation-free).
-//! * [`matvec_kernel_n`] / [`matmul_kernel_n`] / [`axpy_n`] — const-generic
-//!   unrolled twins of the dynamic kernels for the 2–6 state dimensions the
-//!   case study actually has ([`matvec_kernel_dyn`] dispatches at run time),
-//!   bit-identical to the dynamic tier by construction.
+//! * [`matvec_kernel_n`] / [`matmul_kernel_n`] — const-generic unrolled
+//!   twins of the dynamic kernels for the small state dimensions the case
+//!   study actually has (callers dispatch on the order once per kernel or
+//!   run), bit-identical to the dynamic tier by construction.
 //! * [`Lu`] / [`solve`] / [`inverse`] / [`determinant`] — LU factorisation
 //!   with partial pivoting.
 //! * [`Qr`] / [`polyfit`] — Householder QR and least-squares fitting.
@@ -77,4 +77,4 @@ pub use riccati::{
     dlqr, dlqr_with, solve_dare, solve_dare_in_place, solve_dare_reference, solve_dare_with,
     DareOptions, LqrSolution, RiccatiWorkspace,
 };
-pub use specialized::{axpy_n, matmul_kernel_n, matvec_kernel_dyn, matvec_kernel_n};
+pub use specialized::{matmul_kernel_n, matvec_kernel_n};

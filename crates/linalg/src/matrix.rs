@@ -683,7 +683,9 @@ impl fmt::Display for Matrix {
 /// Euclidean norm of a vector, ‖v‖₂.
 ///
 /// This is the norm the paper applies to the plant state when comparing
-/// against the threshold `E_th`.
+/// against the threshold `E_th`. Inlined so that on a fixed-size state the
+/// loop unrolls into the caller's step.
+#[inline]
 pub fn vec_norm(v: &[f64]) -> f64 {
     v.iter().map(|a| a * a).sum::<f64>().sqrt()
 }

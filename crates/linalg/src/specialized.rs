@@ -1,14 +1,14 @@
 //! Const-generic specialisations of the dense kernels.
 //!
 //! The dynamic kernels in [`crate::Matrix`] ([`Matrix::matvec_kernel`],
-//! [`Matrix::matmul_kernel`], [`crate::axpy`]) serve every shape; this module
-//! adds square kernels tuned for the 2–6 state dimensions every fused
-//! simulation kernel in the workspace actually has. [`matvec_kernel_n`],
-//! [`matmul_kernel_n`] and [`axpy_n`] take the dimension as a compile-time
-//! `N`, so the compiler fully unrolls the loops and keeps the accumulators
-//! in registers. They are instantiated for `N = 2..=6` by the dispatcher
-//! ([`matvec_kernel_dyn`]); any other dimension falls back to the dynamic
-//! loop.
+//! [`Matrix::matmul_kernel`]) serve every shape; this module adds square
+//! kernels for the small state dimensions the simulation and
+//! characterisation engines actually have. [`matvec_kernel_n`] and
+//! [`matmul_kernel_n`] take the dimension as a compile-time `N`, so the
+//! compiler fully unrolls the loops and keeps the accumulators in
+//! registers. Callers pick `N` once per kernel or run (`cps-control`'s
+//! `StepKernel` and its dwell/wait settle engine) and fall back to the
+//! dynamic loop above their largest arm.
 //!
 //! # Bit-identity
 //!
@@ -63,52 +63,6 @@ pub fn matmul_kernel_n<const N: usize>(a: &[f64], b: &[f64], out: &mut [f64]) {
     }
 }
 
-/// Unrolled `y += a * x` for a compile-time length `N`.
-///
-/// Bit-identical to [`crate::axpy`] on the same data.
-#[inline]
-pub fn axpy_n<const N: usize>(y: &mut [f64], a: f64, x: &[f64]) {
-    debug_assert_eq!(y.len(), N, "axpy_n: y length");
-    debug_assert_eq!(x.len(), N, "axpy_n: x length");
-    for (yi, xi) in y.iter_mut().zip(x) {
-        *yi += a * xi;
-    }
-}
-
-/// Dynamic matvec fallback over raw slices (same loop as
-/// [`crate::Matrix::matvec_kernel`], without the `Matrix` wrapper).
-#[inline]
-fn matvec_fallback(dim: usize, a: &[f64], x: &[f64], out: &mut [f64]) {
-    for (row, slot) in a.chunks_exact(dim).zip(out.iter_mut()) {
-        let mut acc = 0.0;
-        for (a, x) in row.iter().zip(x) {
-            acc += a * x;
-        }
-        *slot = acc;
-    }
-}
-
-/// Runtime dispatcher over the const-generic matvec kernels.
-///
-/// Dimensions 2..=6 — every augmented plant order in the case study — hit
-/// the unrolled [`matvec_kernel_n`] instantiations; anything else takes the
-/// dynamic fallback loop. All paths are bit-identical to
-/// [`crate::Matrix::matvec_kernel`].
-#[inline]
-pub fn matvec_kernel_dyn(dim: usize, a: &[f64], x: &[f64], out: &mut [f64]) {
-    debug_assert_eq!(a.len(), dim * dim, "matvec_kernel_dyn: matrix length");
-    debug_assert_eq!(x.len(), dim, "matvec_kernel_dyn: input length");
-    debug_assert_eq!(out.len(), dim, "matvec_kernel_dyn: output length");
-    match dim {
-        2 => matvec_kernel_n::<2>(a, x, out),
-        3 => matvec_kernel_n::<3>(a, x, out),
-        4 => matvec_kernel_n::<4>(a, x, out),
-        5 => matvec_kernel_n::<5>(a, x, out),
-        6 => matvec_kernel_n::<6>(a, x, out),
-        _ => matvec_fallback(dim, a, x, out),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -143,21 +97,13 @@ mod tests {
             let mut out = vec![0.0; N];
             matvec_kernel_n::<N>(&a, &x, &mut out);
             assert_eq!(out, reference_matvec(N, &a, &x), "N = {N}");
-            let mut dispatched = vec![0.0; N];
-            matvec_kernel_dyn(N, &a, &x, &mut dispatched);
-            assert_eq!(dispatched, out, "dispatcher N = {N}");
         }
+        check::<1>();
         check::<2>();
         check::<3>();
         check::<4>();
         check::<5>();
         check::<6>();
-        // Out-of-range dimensions fall back to the dynamic loop.
-        let a = lcg_values(7, 49);
-        let x = lcg_values(107, 7);
-        let mut out = vec![0.0; 7];
-        matvec_kernel_dyn(7, &a, &x, &mut out);
-        assert_eq!(out, reference_matvec(7, &a, &x));
     }
 
     #[test]
@@ -173,23 +119,7 @@ mod tests {
             lhs.matmul_kernel(&rhs, &mut reference);
             assert_eq!(out.as_slice(), reference.as_slice(), "N = {N}");
         }
-        check::<2>();
-        check::<3>();
-        check::<4>();
-        check::<5>();
-        check::<6>();
-    }
-
-    #[test]
-    fn const_generic_axpy_is_bit_identical_to_dynamic() {
-        fn check<const N: usize>() {
-            let x = lcg_values(N as u64 + 301, N);
-            let mut y = lcg_values(N as u64 + 401, N);
-            let mut reference = y.clone();
-            axpy_n::<N>(&mut y, 0.7312, &x);
-            crate::axpy(&mut reference, 0.7312, &x);
-            assert_eq!(y, reference, "N = {N}");
-        }
+        check::<1>();
         check::<2>();
         check::<3>();
         check::<4>();

@@ -8,7 +8,9 @@
 //!   on a kernel's own buffers and on the per-worker pooled
 //!   `CharacterizationWorkspace` scratch the fleet designer threads through
 //!   its characterisation passes (where a warm characterisation's
-//!   allocation count must not depend on its sweep length);
+//!   allocation count must not depend on its sweep length, on the stack-array
+//!   settle path of the servo and on the pooled-buffer path of an order-7
+//!   pair);
 //! * the branch-and-bound slot-allocation search — every inner node
 //!   evaluation (streaming schedulability check plus demand and clique
 //!   bounds) and the full `OptimalAllocator::solve_in_place` run on buffers
@@ -34,7 +36,10 @@
 //! intermittently produced 1–3 "stray" allocations before the counter was
 //! scoped per thread.
 
-use automotive_cps::control::{CharacterizationWorkspace, SwitchedKernel};
+use automotive_cps::control::{
+    characterize_dwell_vs_wait_with, CharacterizationConfig, CharacterizationWorkspace,
+    SwitchedKernel,
+};
 use automotive_cps::core::{case_study, AllocationRuntime, ControlApplication, RuntimeApp};
 use automotive_cps::core::{CoSimulation, DegradationConfig, RunMetrics};
 use automotive_cps::flexray::{FaultModel, FlexRayConfig, GilbertElliott};
@@ -242,6 +247,63 @@ fn kernel_and_runtime_hot_paths_do_not_allocate() {
         counts[0], counts[1],
         "warm characterisation allocations depend on the sweep length ({sweep_lengths:?} \
          points made {counts:?} allocations)"
+    );
+    assert_eq!(workspace.state_pool_size(), state_entries, "warm pool must not grow");
+    assert_eq!(workspace.power_pool_size(), power_entries, "warm pool must not grow");
+    assert_eq!(workspace.lyapunov_pool_size(), lyapunov_entries, "warm pool must not grow");
+
+    // The servo's augmented order, 3, runs the settle engine on stack
+    // arrays; above order 6 it runs on the pooled state buffers. The same
+    // check on a stable order-7 pair (upper-bidiagonal ET and TT loops, a
+    // disturbed three-state plant) at two disturbance scales covers that
+    // path.
+    let order = 7;
+    let bidiagonal = |radius: f64| {
+        let mut a = Matrix::zeros(order, order);
+        for i in 0..order {
+            a[(i, i)] = radius * (1.0 - 0.05 * i as f64);
+            if i + 1 < order {
+                a[(i, i + 1)] = 0.2;
+            }
+        }
+        a
+    };
+    let (et_loop, tt_loop) = (bidiagonal(0.95), bidiagonal(0.6));
+    let configs: Vec<_> = [0.8, 1.2]
+        .iter()
+        .map(|factor| {
+            let mut initial_state = vec![0.0; order];
+            initial_state[..3].copy_from_slice(&[factor * 1.0, factor * -0.5, factor * 0.25]);
+            CharacterizationConfig {
+                period: 0.01,
+                threshold: 0.05,
+                initial_state,
+                plant_order: 3,
+                horizon: 3_000,
+            }
+        })
+        .collect();
+    for config in &configs {
+        characterize_dwell_vs_wait_with(&et_loop, &tt_loop, config, &mut workspace)
+            .expect("warm-up order-7 characterisation");
+    }
+    let state_entries = workspace.state_pool_size();
+    let power_entries = workspace.power_pool_size();
+    let lyapunov_entries = workspace.lyapunov_pool_size();
+    let mut counts = Vec::new();
+    let mut sweep_lengths = Vec::new();
+    for config in &configs {
+        let before = ALLOCATIONS.load(Ordering::SeqCst);
+        let curve = characterize_dwell_vs_wait_with(&et_loop, &tt_loop, config, &mut workspace)
+            .expect("warm order-7 characterisation");
+        counts.push(ALLOCATIONS.load(Ordering::SeqCst) - before);
+        sweep_lengths.push(curve.points.len());
+    }
+    assert_ne!(sweep_lengths[0], sweep_lengths[1], "the two order-7 sweeps must differ in length");
+    assert_eq!(
+        counts[0], counts[1],
+        "warm order-7 characterisation allocations depend on the sweep length \
+         ({sweep_lengths:?} points made {counts:?} allocations)"
     );
     assert_eq!(workspace.state_pool_size(), state_entries, "warm pool must not grow");
     assert_eq!(workspace.power_pool_size(), power_entries, "warm pool must not grow");
