@@ -231,6 +231,21 @@ if ! cargo test -q -p cps-control -- --list \
     exit 1
 fi
 
+# The fleet-designer suite carries the design pipeline's determinism
+# contract: designed artifacts, timing tables and slot maps bit-identical for
+# every worker count, through the two-stage path and through the joined
+# synthesis-and-characterisation flow the work-claiming pool runs. Both
+# parity tests are gated by name.
+step "fleet-designer parity suite is collected (tests/fleet_designer.rs)"
+designer_tests="$(cargo test -q -p automotive-cps --test fleet_designer -- --list)"
+for parity in designer_is_bit_identical_to_per_app_design_for_any_worker_count \
+        joined_design_flow_is_bit_identical_for_any_worker_count; do
+    if ! grep "^$parity: test" > /dev/null <<<"$designer_tests"; then
+        echo "ERROR: fleet_designer lost $parity" >&2
+        exit 1
+    fi
+done
+
 # The scenario-batch suite carries the parallel scenario engine's
 # determinism contract (outcomes independent of the thread count, ragged
 # scenario counts included, as a proptest); same reasoning, same gate.

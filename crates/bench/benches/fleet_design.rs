@@ -7,11 +7,14 @@
 //! * `design_controllers` — full controller synthesis of the six-application
 //!   derived fleet (pole placement / DARE, discretisation, kernel fusion),
 //!   now routed through the workspace-threaded designer.
-//! * `designer_sequential_24` / `designer_parallel_24` — fleet-design
-//!   throughput on a 24-application scaled fleet, one worker vs the
-//!   machine's available parallelism (2 on the 2-vCPU container the perf
-//!   history is recorded on; with one core both rungs run the same
-//!   sequential path).
+//! * `designer_sequential_24` / `designer_parallel_24` — controller
+//!   synthesis ([`FleetDesigner::design`]) of a 24-application scaled
+//!   fleet, one worker vs the machine's available parallelism. Both run on
+//!   the work-claiming pool: one worker is the calling thread alone, and
+//!   with an available parallelism of 2 (the container the perf history
+//!   is recorded on) the caller works beside one spawned thread, each
+//!   claiming one application at a time. With one core both rungs run the
+//!   same path.
 //! * `bus_sweep_shared_characterization` vs
 //!   `bus_sweep_recharacterize_baseline` — the bus-configuration sweep with
 //!   one shared characterisation pass ([`BusConfigSweep::scenarios_for`])

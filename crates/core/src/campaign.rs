@@ -306,13 +306,8 @@ impl RobustnessCampaign {
 
     /// The worker count a run over `total` scenarios will actually use.
     pub fn effective_workers(&self, total: u64) -> usize {
-        let configured = if self.workers == 0 {
-            std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-        } else {
-            self.workers
-        };
-        let chunks = total.div_ceil(self.chunk_size).max(1);
-        configured.clamp(1, usize::try_from(chunks).unwrap_or(usize::MAX))
+        let chunks = total.div_ceil(self.chunk_size);
+        crate::pool::worker_count(self.workers, usize::try_from(chunks).unwrap_or(usize::MAX))
     }
 
     /// Runs the campaign: streams every scenario of `source` through the

@@ -15,15 +15,21 @@
 //!   (switched-kernel state buffers, power-bound matrices, saturated-sim
 //!   scratch), so a fleet design allocates solver and simulation scratch
 //!   once per worker instead of once per application.
-//! * **Parallel:** independent application designs (and the dwell/wait
-//!   characterisations feeding the slot allocator) fan out across
-//!   `std::thread::scope` workers over contiguous index chunks, exactly like
-//!   the scenario batch engine.
-//! * **Deterministic:** results are stitched back in input order and the
+//! * **Parallel:** every run is one scope of the crate's work-claiming pool,
+//!   the one the scenario batch engine uses too. The calling thread works
+//!   beside `threads − 1` scoped threads, and each worker claims one
+//!   application at a time. The full design flows claim *synthesis followed
+//!   by characterisation* as one item per application, so the two stages
+//!   share a scope and no barrier separates them. The six case-study app
+//!   types cost ~110–470 µs each; claiming balances them where fixed chunks
+//!   could not.
+//! * **Deterministic:** results are stored by input index and the
 //!   workspace path is bit-identical to the allocating reference path, so
 //!   the designed artifacts are **bit-for-bit independent of the worker
 //!   count** — the property the parity suite (`tests/fleet_designer.rs`)
-//!   asserts on the paper fleet and on random stable plants.
+//!   asserts on the paper fleet, on perturbed scaled fleets and on random
+//!   stable plants. A failed run returns the error of the first failing
+//!   application in input order, whichever stage failed.
 //!
 //! Every design entry point routes through this pipeline:
 //! [`crate::ControlApplication::design`] (a one-application fleet),
@@ -33,25 +39,21 @@
 //! [`crate::BusConfigSweep::scenarios_for`] (characterisation computed once
 //! and reused across every candidate bus instead of re-derived per
 //! configuration).
-//!
-//! Note: with one available core the parallel fan-out degenerates to the
-//! sequential path. The 2-vCPU Xeon container the perf history is recorded
-//! on reports an available parallelism of 2, so there the parallel path
-//! runs two workers; the `fleet_design` bench's scaling rungs are still to
-//! be re-measured with per-worker utilisation (see ROADMAP).
 
 use crate::application::{ApplicationSpec, ControlApplication};
 use crate::characterize::derive_timing_params_with;
 use crate::error::{CoreError, Result};
 use crate::fleet::DesignedFleet;
+use crate::pool;
 use cps_control::{CharacterizationWorkspace, DesignWorkspace};
 use cps_flexray::FlexRayConfig;
 use cps_sched::{
     AllocatorConfig, AppTimingParams, CancelToken, PortfolioAllocator, PortfolioConfig, SchedError,
+    SlotAllocation,
 };
 
 /// The scratch bundle one design worker owns and threads through every item
-/// of its chunk: the solver-workspace pool of the synthesis path and the
+/// it claims: the solver-workspace pool of the synthesis path and the
 /// switched-kernel / saturated-sim pool of the characterisation path. Both
 /// pools are dimension-keyed and re-allocate only when a previously unseen
 /// dimension appears, so a warm worker pays no per-application setup cost
@@ -132,12 +134,7 @@ impl FleetDesigner {
     /// The worker count a run will actually use for `item_count` independent
     /// design items.
     pub fn effective_threads(&self, item_count: usize) -> usize {
-        let configured = if self.threads == 0 {
-            std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-        } else {
-            self.threads
-        };
-        configured.clamp(1, item_count.max(1))
+        pool::worker_count(self.threads, item_count)
     }
 
     /// Designs every application of the fleet through the shared pipeline
@@ -145,8 +142,8 @@ impl FleetDesigner {
     ///
     /// # Errors
     ///
-    /// Returns the first design error in input order (specs after the
-    /// failing one in the same chunk are not designed).
+    /// Returns the error of the first failing spec in input order, for any
+    /// worker count.
     pub fn design(&self, specs: Vec<ApplicationSpec>) -> Result<Vec<ControlApplication>> {
         self.run(specs, |scratch, spec| ControlApplication::design_with(spec, &mut scratch.design))
     }
@@ -169,40 +166,34 @@ impl FleetDesigner {
     ///
     /// # Errors
     ///
-    /// Returns the first characterisation error in input order.
+    /// Returns the error of the first failing application in input order,
+    /// for any worker count.
     pub fn characterize(&self, apps: &[ControlApplication]) -> Result<Vec<AppTimingParams>> {
-        // Same fan-out machinery as `design`, threading the worker's pooled
-        // `CharacterizationWorkspace` through every application so the
-        // switched-kernel / saturated-sim scratch is allocated once per
-        // worker and dimension instead of once per application.
         self.run(apps.iter().collect(), |scratch, app| {
             derive_timing_params_with(app, &mut scratch.characterization)
         })
     }
 
-    /// The full greedy design flow: design the applications, characterise
-    /// them once, allocate TT slots with the configured greedy strategy
-    /// (capped by the bus's static segment) and freeze the fleet.
+    /// The full greedy design flow: design and characterise each
+    /// application (one claimed item per application), allocate TT slots
+    /// with the configured greedy strategy (capped by the bus's static
+    /// segment) and freeze the fleet.
     ///
     /// # Errors
     ///
     /// Propagates design, characterisation, allocation and fleet-validation
-    /// failures.
+    /// failures. A design or characterisation failure is the one of the
+    /// first failing application in input order, whichever stage failed,
+    /// for any worker count.
     pub fn design_fleet(
         &self,
         specs: Vec<ApplicationSpec>,
         config: &AllocatorConfig,
         bus_config: FlexRayConfig,
     ) -> Result<DesignedFleet> {
-        let apps = self.design(specs)?;
-        let table = self.characterize(&apps)?;
+        let (apps, table) = self.design_and_characterize(specs)?;
         let allocation = cps_sched::allocate_slots(&table, &budgeted(config, &bus_config))?;
-        let fleet = DesignedFleet::new(apps, allocation, bus_config)?;
-        // The pass just computed is the fleet's characterisation table —
-        // seed the computed-once cache so later sweeps skip even the single
-        // pass.
-        fleet.seed_timing_table(table);
-        Ok(fleet)
+        freeze(apps, allocation, bus_config, table)
     }
 
     /// The full exact design flow: like [`FleetDesigner::design_fleet`] but
@@ -223,8 +214,8 @@ impl FleetDesigner {
         config: &AllocatorConfig,
         bus_config: FlexRayConfig,
     ) -> Result<DesignedFleet> {
-        let apps = self.design(specs)?;
-        self.freeze_optimal(apps, config, bus_config)
+        let (apps, table) = self.design_and_characterize(specs)?;
+        self.allocate_optimal(apps, table, config, bus_config)
     }
 
     /// The budget-aware exact design flow of the design service: like
@@ -253,8 +244,7 @@ impl FleetDesigner {
         bus_config: FlexRayConfig,
         node_budget: Option<u64>,
     ) -> Result<BudgetedDesign> {
-        let apps = self.design(specs)?;
-        let table = self.characterize(&apps)?;
+        let (apps, table) = self.design_and_characterize(specs)?;
         let portfolio = PortfolioConfig::with_threads(self.threads);
         let mut solver = PortfolioAllocator::new(&table, &budgeted(config, &bus_config), &portfolio)?;
         solver.set_cancel_token(self.cancel.clone());
@@ -266,12 +256,11 @@ impl FleetDesigner {
         };
         let certified_optimal = solver.certified_optimal();
         drop(solver);
-        let fleet = DesignedFleet::new(apps, allocation, bus_config)?;
-        fleet.seed_timing_table(table);
+        let fleet = freeze(apps, allocation, bus_config, table)?;
         Ok(BudgetedDesign { fleet, certified_optimal })
     }
 
-    /// The exact allocation-and-freeze tail shared with
+    /// The exact flow for already-designed applications, behind
     /// [`DesignedFleet::design_optimal`]: characterise once, solve the
     /// branch-and-bound optimum under the bus budget, validate.
     ///
@@ -285,91 +274,69 @@ impl FleetDesigner {
         bus_config: FlexRayConfig,
     ) -> Result<DesignedFleet> {
         let table = self.characterize(&apps)?;
+        self.allocate_optimal(apps, table, config, bus_config)
+    }
+
+    /// Synthesises and characterises every application, one claimed item
+    /// per application (no barrier between the stages), and returns the
+    /// designs with their Table-I rows in input order.
+    fn design_and_characterize(
+        &self,
+        specs: Vec<ApplicationSpec>,
+    ) -> Result<(Vec<ControlApplication>, Vec<AppTimingParams>)> {
+        let designed = self.run(specs, |scratch, spec| {
+            let app = ControlApplication::design_with(spec, &mut scratch.design)?;
+            let row = derive_timing_params_with(&app, &mut scratch.characterization)?;
+            Ok((app, row))
+        })?;
+        Ok(designed.into_iter().unzip())
+    }
+
+    /// The tail of both exact flows: the portfolio optimum under the bus
+    /// budget, frozen with the table it was solved on.
+    fn allocate_optimal(
+        &self,
+        apps: Vec<ControlApplication>,
+        table: Vec<AppTimingParams>,
+        config: &AllocatorConfig,
+        bus_config: FlexRayConfig,
+    ) -> Result<DesignedFleet> {
         let allocation = cps_sched::allocate_slots_portfolio(
             &table,
             &budgeted(config, &bus_config),
             &PortfolioConfig::with_threads(self.threads),
         )?;
-        let fleet = DesignedFleet::new(apps, allocation, bus_config)?;
-        fleet.seed_timing_table(table);
-        Ok(fleet)
+        freeze(apps, allocation, bus_config, table)
     }
 
-    /// Fans `items` out over the configured workers, one [`DesignWorkspace`]
-    /// per worker, contiguous chunks, results stitched in input order.
-    fn run<T, R, F>(&self, items: Vec<T>, f: F) -> Result<Vec<R>>
-    where
-        T: Send,
-        R: Send,
-        F: Fn(&mut WorkerScratch, T) -> Result<R> + Sync,
-    {
-        if items.is_empty() {
-            return Ok(Vec::new());
-        }
-        // Cancellation checkpoint, polled before each item on every worker:
-        // a fired token stops the chunk at its next item boundary.
-        let checkpoint = |cancel: &Option<CancelToken>| -> Result<()> {
-            match cancel {
-                Some(token) if token.is_cancelled() => Err(CoreError::Cancelled),
-                _ => Ok(()),
-            }
-        };
-        let workers = self.effective_threads(items.len());
-        if workers == 1 {
-            let mut scratch = WorkerScratch::default();
-            return items
-                .into_iter()
-                .map(|item| {
-                    checkpoint(&self.cancel)?;
-                    f(&mut scratch, item)
-                })
-                .collect();
-        }
-
-        // Contiguous chunks keep the output order (and therefore the result)
-        // independent of scheduling; ceil-sized so every item is covered.
-        let chunk_size = items.len().div_ceil(workers);
-        let mut chunks: Vec<Vec<T>> = Vec::with_capacity(workers);
-        let mut items = items.into_iter();
-        loop {
-            let chunk: Vec<T> = items.by_ref().take(chunk_size).collect();
-            if chunk.is_empty() {
-                break;
-            }
-            chunks.push(chunk);
-        }
-        let f = &f;
-        let cancel = &self.cancel;
-        let chunk_results: Vec<Result<Vec<R>>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = chunks
-                .into_iter()
-                .map(|chunk| {
-                    scope.spawn(move || {
-                        // Worker start-up: one scratch bundle (solver and
-                        // characterisation pools), reused for every item in
-                        // the chunk.
-                        let mut scratch = WorkerScratch::default();
-                        chunk
-                            .into_iter()
-                            .map(|item| {
-                                checkpoint(cancel)?;
-                                f(&mut scratch, item)
-                            })
-                            .collect()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|handle| handle.join().expect("design worker must not panic"))
-                .collect()
-        });
-        let mut out = Vec::new();
-        for chunk in chunk_results {
-            out.extend(chunk?);
-        }
-        Ok(out)
+    /// Maps `f` over `items` on the shared worker pool: one claimed item
+    /// per element, one [`WorkerScratch`] per worker, results in input order.
+    fn run<T: Send, R: Send>(
+        &self,
+        items: Vec<T>,
+        f: impl Fn(&mut WorkerScratch, T) -> Result<R> + Sync,
+    ) -> Result<Vec<R>> {
+        pool::map_claimed(
+            self.threads,
+            self.cancel.as_ref(),
+            items,
+            || Ok(WorkerScratch::default()),
+            |scratch, _, item| f(scratch, item),
+        )
     }
+}
+
+/// Validates the fleet and seeds its computed-once characterisation cache
+/// with the pass that dimensioned it, so later sweeps skip even that pass.
+fn freeze(
+    apps: Vec<ControlApplication>,
+    allocation: SlotAllocation,
+    bus_config: FlexRayConfig,
+    table: Vec<AppTimingParams>,
+) -> Result<DesignedFleet> {
+    let fleet = DesignedFleet::new(apps, allocation, bus_config)?;
+    fleet.seed_timing_table(table);
+    Ok(fleet)
 }
 
 /// The allocator configuration capped by the bus's static segment.
@@ -424,6 +391,16 @@ mod tests {
                 .with_threads(threads)
                 .with_cancel_token(Some(token.clone()));
             let err = designer.design(case_study::derived_fleet_specs()).unwrap_err();
+            assert!(matches!(err, CoreError::Cancelled), "threads={threads}: {err}");
+            // The joined flow polls the token before each application's
+            // synthesis-and-characterisation item.
+            let err = designer
+                .design_fleet_optimal(
+                    case_study::derived_fleet_specs(),
+                    &AllocatorConfig::default(),
+                    cps_flexray::FlexRayConfig::paper_case_study(),
+                )
+                .unwrap_err();
             assert!(matches!(err, CoreError::Cancelled), "threads={threads}: {err}");
         }
         // Empty inputs still short-circuit before the checkpoint.

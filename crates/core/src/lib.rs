@@ -20,8 +20,9 @@
 //! 5. [`FleetDesigner`] — the fleet-level design pipeline behind every
 //!    design entry point: one [`cps_control::DesignWorkspace`] +
 //!    [`cps_control::CharacterizationWorkspace`] scratch bundle per worker,
-//!    independent application designs and characterisations fanned out
-//!    across `std::thread::scope`, bit-identical for any worker count.
+//!    each application's synthesis and characterisation claimed as one item
+//!    of a work-claiming pool on which the calling thread works too,
+//!    bit-identical for any worker count.
 //! 6. [`DesignedFleet`] — the shared-immutable design artifact (designed
 //!    controllers, fused kernel matrices, bus/slot configuration, and the
 //!    computed-once `Arc`-shared characterisation table of
@@ -77,6 +78,7 @@ mod cosim;
 mod designer;
 mod error;
 mod fleet;
+mod pool;
 mod runtime;
 mod scenario;
 mod stats;

@@ -11,15 +11,16 @@
 //! scenario, and every step inside is an allocation-free kernel step.
 //!
 //! Determinism: each scenario is simulated from a full reset, so its
-//! [`ScenarioOutcome`] depends only on its spec. Scenarios are partitioned
-//! into contiguous index chunks and results are stitched back in input
-//! order, which makes the output independent of the worker count — a
-//! property the test suite asserts.
+//! [`ScenarioOutcome`] depends only on its spec. Workers claim scenarios
+//! one at a time from the crate's work-claiming pool (the fleet designer's
+//! pool too) and results are stored by input index, which makes the output
+//! independent of the worker count — a property the test suite asserts.
 
 use crate::application::ControlApplication;
 use crate::cosim::{CoSimTrace, CoSimulation};
 use crate::error::{CoreError, Result};
 use crate::fleet::DesignedFleet;
+use crate::pool;
 use cps_control::CommunicationMode;
 use cps_flexray::FlexRayConfig;
 use cps_sched::SlotAllocation;
@@ -601,76 +602,31 @@ impl ScenarioBatch {
     /// The worker count a run will actually use for `scenario_count`
     /// scenarios.
     pub fn effective_threads(&self, scenario_count: usize) -> usize {
-        let configured = if self.threads == 0 {
-            std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-        } else {
-            self.threads
-        };
-        configured.clamp(1, scenario_count.max(1))
+        pool::worker_count(self.threads, scenario_count)
     }
 
     /// Runs every scenario and returns the outcomes in input order.
     ///
-    /// Scenarios are split into contiguous chunks, one worker per chunk;
-    /// each worker owns a single `CoSimulation` that it resets between
-    /// scenarios. Results are identical for any thread count.
+    /// Runs on the crate's work-claiming pool: the calling thread works
+    /// beside `threads − 1` scoped threads, and each worker claims one
+    /// scenario at a time. A worker creates one `CoSimulation` over the
+    /// shared design at its first claim and resets it between the
+    /// scenarios it claims. Results are identical for any thread count.
     ///
     /// # Errors
     ///
     /// Returns the first simulation error in scenario order (invalid
-    /// scenario parameters included); scenarios after the failing one in
-    /// the same chunk are not executed.
+    /// scenario parameters included), for any thread count; scenarios
+    /// claimed once an earlier failure is known are not executed.
     pub fn run(&self, scenarios: &[ScenarioSpec]) -> Result<Vec<ScenarioOutcome>> {
-        if scenarios.is_empty() {
-            return Ok(Vec::new());
-        }
-        let workers = self.effective_threads(scenarios.len());
-        if workers == 1 {
-            return run_chunk(&self.fleet, 0, scenarios);
-        }
-
-        // Contiguous chunks keep the output order (and therefore the result)
-        // independent of scheduling; ceil-sized so every scenario is covered.
-        let chunk_size = scenarios.len().div_ceil(workers);
-        let chunk_results: Vec<Result<Vec<ScenarioOutcome>>> =
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = scenarios
-                    .chunks(chunk_size)
-                    .enumerate()
-                    .map(|(chunk_index, chunk)| {
-                        let base = chunk_index * chunk_size;
-                        scope.spawn(move || run_chunk(&self.fleet, base, chunk))
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("scenario worker must not panic"))
-                    .collect()
-            });
-
-        let mut outcomes = Vec::with_capacity(scenarios.len());
-        for chunk in chunk_results {
-            outcomes.extend(chunk?);
-        }
-        Ok(outcomes)
+        pool::map_claimed(
+            self.threads,
+            None,
+            scenarios.iter().collect(),
+            || self.fleet.engine(),
+            run_one,
+        )
     }
-}
-
-/// Runs one worker's contiguous chunk on a single engine — mutable scratch
-/// only, the design is shared through the [`Arc`] — resetting it between
-/// scenarios. Outcomes come back in input order; the first error in scenario
-/// order aborts the chunk.
-fn run_chunk(
-    fleet: &Arc<DesignedFleet>,
-    base: usize,
-    specs: &[ScenarioSpec],
-) -> Result<Vec<ScenarioOutcome>> {
-    let mut engine = fleet.engine()?;
-    specs
-        .iter()
-        .enumerate()
-        .map(|(offset, spec)| run_one(&mut engine, base + offset, spec))
-        .collect()
 }
 
 fn run_one(engine: &mut CoSimulation, index: usize, spec: &ScenarioSpec) -> Result<ScenarioOutcome> {
@@ -874,8 +830,7 @@ mod tests {
         assert_eq!(outcomes[0].dynamic_transmissions, outcomes[1].dynamic_transmissions);
         assert!(outcomes[2].dynamic_transmissions < outcomes[0].dynamic_transmissions);
 
-        // An invalid override is rejected, and the engine recovers for the
-        // next scenario in the chunk (single worker: same engine).
+        // An invalid override is rejected, and a later run is unaffected.
         let bad_bus = ScenarioSpec::nominal(1.0)
             .with_bus_config(FlexRayConfig { cycle_length: -1.0, ..base });
         assert!(batch.run(std::slice::from_ref(&bad_bus)).is_err());

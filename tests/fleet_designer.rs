@@ -13,9 +13,9 @@ use automotive_cps::core::{
     case_study, derive_timing_params, ApplicationSpec, BusConfigSweep, ControlApplication,
     ControllerSpec, DesignedFleet, FleetDesigner,
 };
-use automotive_cps::flexray::FlexRayConfig;
+use automotive_cps::flexray::{FlexRayConfig, SimRng};
 use automotive_cps::linalg::Matrix;
-use automotive_cps::sched::AllocatorConfig;
+use automotive_cps::sched::{AllocatorConfig, AppTimingParams};
 use proptest::prelude::*;
 
 /// Asserts two designed applications are bit-identical artifact for
@@ -76,6 +76,95 @@ fn parallel_characterization_matches_the_sequential_pass_bit_for_bit() {
     for threads in [1, 2, 4, 16] {
         let table = FleetDesigner::new().with_threads(threads).characterize(&apps).unwrap();
         assert_eq!(table, reference, "characterisation must not depend on {threads} workers");
+    }
+}
+
+/// A scaled case-study fleet of `apps` applications with seeded
+/// perturbations that keep every design valid: disturbance ×[0.8, 1.2],
+/// deadline ×[1, 1.15], inter-arrival time ×[1, 1.5].
+fn perturbed_fleet(seed: u64, apps: usize) -> Vec<ApplicationSpec> {
+    let mut rng = SimRng::seeded(seed);
+    let mut uniform = |lo: f64, hi: f64| lo + (hi - lo) * rng.next_unit();
+    case_study::scaled_fleet_specs(apps)
+        .into_iter()
+        .map(|mut spec| {
+            let scale = uniform(0.8, 1.2);
+            spec.disturbance.iter_mut().for_each(|d| *d *= scale);
+            spec.deadline *= uniform(1.0, 1.15);
+            spec.inter_arrival = (spec.inter_arrival * uniform(1.0, 1.5)).max(spec.deadline);
+            spec
+        })
+        .collect()
+}
+
+/// Asserts two Table-I rows are equal field for field, every `f64` bit for
+/// bit.
+fn assert_rows_identical(actual: &AppTimingParams, expected: &AppTimingParams) {
+    assert_eq!(actual.name, expected.name);
+    let bits = |row: &AppTimingParams| {
+        [row.inter_arrival, row.deadline, row.xi_tt, row.xi_et, row.xi_m, row.k_p, row.xi_prime_m]
+            .map(f64::to_bits)
+    };
+    assert_eq!(bits(actual), bits(expected), "{}: timing row differs", actual.name);
+}
+
+#[test]
+fn joined_design_flow_is_bit_identical_for_any_worker_count() {
+    let config = AllocatorConfig::default();
+    let bus = FlexRayConfig::paper_case_study();
+    let mut reversed = perturbed_fleet(3, 13);
+    // Reversed catalogue order: the costliest app types come first, so the
+    // order in which workers claim and finish apps differs from input order.
+    reversed.reverse();
+    for specs in [perturbed_fleet(1, 6), perturbed_fleet(2, 24), reversed] {
+        // The separate two-stage path: synthesis, then characterisation.
+        let sequential = FleetDesigner::sequential();
+        let apps = sequential.design(specs.clone()).unwrap();
+        let table = sequential.characterize(&apps).unwrap();
+        let reference = sequential.design_fleet_optimal(specs.clone(), &config, bus).unwrap();
+        let reference_table = reference.timing_table().unwrap();
+        for threads in [1, 2, 3, 7] {
+            let fleet = FleetDesigner::new()
+                .with_threads(threads)
+                .design_fleet_optimal(specs.clone(), &config, bus)
+                .unwrap();
+            assert_eq!(fleet.allocation(), reference.allocation(), "threads={threads}");
+            let joined = fleet.timing_table().unwrap();
+            assert_eq!(joined.len(), specs.len());
+            for (row, (expected, two_stage)) in
+                joined.iter().zip(reference_table.iter().zip(&table))
+            {
+                assert_rows_identical(row, expected);
+                assert_rows_identical(row, two_stage);
+            }
+            for (actual, expected) in fleet.apps().iter().zip(&apps) {
+                assert_identical(actual, expected);
+            }
+        }
+    }
+}
+
+#[test]
+fn joined_design_flow_returns_the_first_failing_app_whichever_stage_failed() {
+    let config = AllocatorConfig::default();
+    let bus = FlexRayConfig::paper_case_study();
+    let mut specs = case_study::scaled_fleet_specs(12);
+    // App 2 designs, but its pure-TT loop cannot reach the threshold within
+    // the characterisation horizon; app 9 fails synthesis.
+    specs[2].threshold = 1e-300;
+    specs[9].deadline = -1.0;
+    let characterisation_error =
+        derive_timing_params(&ControlApplication::design(specs[2].clone()).unwrap())
+            .unwrap_err()
+            .to_string();
+    let synthesis_error = ControlApplication::design(specs[9].clone()).unwrap_err().to_string();
+    assert_ne!(characterisation_error, synthesis_error);
+    for threads in [1, 2, 3, 7, 12] {
+        let designer = FleetDesigner::new().with_threads(threads);
+        let err = designer.design_fleet_optimal(specs.clone(), &config, bus).unwrap_err();
+        assert_eq!(err.to_string(), characterisation_error, "threads={threads}");
+        let err = designer.design_fleet(specs.clone(), &config, bus).unwrap_err();
+        assert_eq!(err.to_string(), characterisation_error, "threads={threads}");
     }
 }
 
