@@ -16,8 +16,9 @@ use std::sync::{Mutex, OnceLock};
 
 /// The worker count for a `configured` thread setting over `items` items:
 /// `0` means the machine's available parallelism, and a run never has more
-/// workers than items. The parallelism is queried once per process; the
-/// query reads cgroup files on Linux and costs ~25 µs a call.
+/// workers than items. The parallelism is queried once per process: the
+/// query reads cgroup files on Linux and took 33–42 µs a call on a 2-vCPU
+/// Xeon VM.
 pub(crate) fn worker_count(configured: usize, items: usize) -> usize {
     static AVAILABLE: OnceLock<usize> = OnceLock::new();
     let configured = if configured == 0 {
@@ -125,28 +126,23 @@ mod tests {
     #[test]
     fn results_keep_input_order_and_scratch_stays_per_worker() {
         for threads in [1, 2, 3, 7] {
-            // Each worker counts the items it ran in its scratch; the counts
-            // sum to the item count however the items were claimed.
-            let claimed = AtomicUsize::new(0);
+            // `init` runs once per worker that claims an item, not per item.
+            let inits = AtomicUsize::new(0);
             let out = map_claimed(
                 threads,
                 None,
                 (0..50u64).collect(),
                 || {
-                    claimed.fetch_add(1, Ordering::Relaxed);
-                    Ok(0usize)
+                    inits.fetch_add(1, Ordering::Relaxed);
+                    Ok(())
                 },
-                |runs, index, item| {
-                    *runs += 1;
-                    Ok((index, item * item, *runs))
-                },
+                |_, index, item| Ok((index, item * item)),
             )
             .unwrap();
-            assert_eq!(out.len(), 50);
-            for (position, &(index, square, _)) in out.iter().enumerate() {
-                assert_eq!((index, square), (position, (position * position) as u64));
-            }
-            assert!(claimed.load(Ordering::Relaxed) <= worker_count(threads, 50));
+            let expected: Vec<_> = (0..50u64).map(|i| (i as usize, i * i)).collect();
+            assert_eq!(out, expected, "threads={threads}");
+            let inits = inits.load(Ordering::Relaxed);
+            assert!((1..=worker_count(threads, 50)).contains(&inits), "threads={threads}");
         }
         assert!(map_claimed(2, None, Vec::<u8>::new(), || Ok(()), |_, _, x| Ok(x))
             .unwrap()

@@ -2,8 +2,10 @@
 //! produce **bit-identical** artifacts to the retained sequential
 //! per-application path for *any* worker count — on the case-study fleet, on
 //! a scaled 24-application fleet, and (property-based) on fleets of random
-//! stable plants designed with LQR. Also pins the routing contract: every
-//! design entry point (`ControlApplication::design`,
+//! stable plants designed with LQR. The joined synthesis-and-
+//! characterisation flow must match the two-stage path bit for bit and fail
+//! on the first failing app in input order. Also pins the routing contract:
+//! every design entry point (`ControlApplication::design`,
 //! `DesignedFleet::design`/`design_optimal`, `BusConfigSweep::scenarios_for`)
 //! goes through the same pipeline and therefore agrees with the primitive
 //! paths exactly.
