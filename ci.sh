@@ -269,7 +269,7 @@ if ! grep ": test" > /dev/null <<<"$service_tests"; then
     echo "ERROR: the design_service suite was skipped or is empty" >&2
     exit 1
 fi
-for axis in "_unix: test" "_tcp: test" "streamed_terminal_frame" "dropping_the_stream"; do
+for axis in "_unix: test" "_tcp: test" "streamed_terminal_frame" "dropping_the_stream" "invalid_problem"; do
     if ! grep -- "$axis" > /dev/null <<<"$service_tests"; then
         echo "ERROR: design_service lost its '$axis' coverage axis" >&2
         exit 1

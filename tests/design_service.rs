@@ -5,7 +5,9 @@
 //! deadline token aggregates across the portfolio's workers and the greedy
 //! incumbent is served uncertified), load shedding, panic isolation,
 //! structured deadline timeouts, clean
-//! rejection of malformed frames, and a deterministic chaos soak in which
+//! rejection of malformed frames, `InvalidRequest` answers on their own id
+//! for frames that decode but name an invalid problem (the connection
+//! keeps serving), and a deterministic chaos soak in which
 //! every accepted request reaches a terminal response while the server
 //! survives every injected fault.
 //!
@@ -18,9 +20,10 @@
 use automotive_cps::core::{case_study, ApplicationSpec, FleetDesigner};
 use automotive_cps::flexray::FlexRayConfig;
 use automotive_cps::sched::{AllocatorConfig, AppTimingParams};
+use automotive_cps::serve::protocol::{read_frame, write_frame};
 use automotive_cps::serve::{
     design_job, CampaignJob, ChaosConfig, DesignClient, DesignServer, Endpoint, ErrorKind, Job,
-    Outcome, RequestOptions, Response, RetryPolicy, ServerConfig, ServerHandle, SweepJob,
+    Outcome, Request, RequestOptions, Response, RetryPolicy, ServerConfig, ServerHandle, SweepJob,
 };
 use proptest::prelude::*;
 use std::io::{Read, Write};
@@ -526,6 +529,103 @@ fn malformed_frames_are_rejected_cleanly_unix() {
 #[test]
 fn malformed_frames_are_rejected_cleanly_tcp() {
     malformed_frames_scenario("malformed-tcp", Transport::Tcp);
+}
+
+/// Writes one request payload on a raw connection and reads its answer.
+fn raw_round_trip(stream: &mut RawConn, payload: &[u8]) -> Response {
+    write_frame(stream, payload).expect("request written");
+    let frame = read_frame(stream).expect("answer read").expect("answer frame");
+    Response::decode(&frame).expect("answer decodes")
+}
+
+fn invalid_problem_scenario(name: &str, transport: Transport) {
+    let (direct_slots, direct_table) = reference_design();
+    let mut server = start(name, transport, |_| {});
+
+    // A one-app design whose payload layout is fixed by the wire format:
+    // a 21-byte request header, the job tag, the u32 spec count, the
+    // spec name (u32 length + bytes), then `A` and `B` as u32 rows, u32
+    // cols, u32 entry count and the row-major f64 entries. The job ends
+    // with the allocator (three tags, u64 slot budget, f64 slot overhead)
+    // and the 40-byte bus geometry.
+    let spec = fleet_specs()
+        .into_iter()
+        .find(|spec| spec.plant.a().rows() >= 2)
+        .expect("reshaping A to 1 x n² needs a multi-state plant");
+    let n = spec.plant.a().rows();
+    let valid = |id: u64| {
+        Request {
+            id,
+            deadline_ms: 0,
+            node_budget: 0,
+            require_certified: false,
+            job: Job::Design(design_job(
+                std::slice::from_ref(&spec),
+                &AllocatorConfig::default(),
+                &FlexRayConfig::paper_case_study(),
+            )),
+        }
+        .encode()
+    };
+    let a_at = 21 + 1 + 4 + 4 + spec.name.len();
+    let b_at = a_at + 12 + 8 * n * n;
+
+    // (a) A reshaped to 1 x n²: the shape matches the data, but the state
+    // matrix is not square.
+    let mut non_square = valid(101);
+    non_square[a_at..a_at + 4].copy_from_slice(&1u32.to_le_bytes());
+    non_square[a_at + 4..a_at + 8].copy_from_slice(&((n * n) as u32).to_le_bytes());
+    // (b) A NaN entry in B.
+    let mut nan_input = valid(102);
+    nan_input[b_at + 12..b_at + 20].copy_from_slice(&f64::NAN.to_le_bytes());
+    // (c) A slot overhead of -1 s.
+    let mut negative_overhead = valid(103);
+    let overhead_at = negative_overhead.len() - 40 - 8;
+    negative_overhead[overhead_at..overhead_at + 8].copy_from_slice(&(-1.0f64).to_le_bytes());
+
+    // Every rejection comes back on its own id, and the connection keeps
+    // serving: all three go over the same raw connection.
+    let mut stream = RawConn::connect(&server, transport);
+    for (id, payload, field) in [
+        (101, non_square, "plant model"),
+        (102, nan_input, "plant model"),
+        (103, negative_overhead, "slot overhead"),
+    ] {
+        let response = raw_round_trip(&mut stream, &payload);
+        assert_eq!(response.id, id, "the rejection must carry the request's id");
+        match &response.outcome {
+            Outcome::Error { kind: ErrorKind::InvalidRequest, message } => {
+                assert!(message.contains(field), "request {id} must name the {field}: {message}")
+            }
+            other => panic!("request {id} names an invalid problem: {other:?}"),
+        }
+    }
+    assert_eq!(server.stats().protocol_errors, 0, "an invalid problem is not a protocol error");
+
+    // A valid design on the same connection is answered bit-identically to
+    // the direct pipeline.
+    let nominal =
+        Request { id: 104, deadline_ms: 0, node_budget: 0, require_certified: false, job: nominal_job() };
+    let response = raw_round_trip(&mut stream, &nominal.encode());
+    assert_eq!(response.id, 104);
+    let Outcome::Design(design) = response.outcome else {
+        panic!("expected a design outcome: {:?}", response.outcome)
+    };
+    assert!(design.certified_optimal);
+    assert_slots_match(&design.slots, &direct_slots);
+    assert_tables_bit_identical(&design.table, &direct_table);
+    assert_eq!(server.stats().protocol_errors, 0);
+    server.shutdown();
+}
+
+#[test]
+fn invalid_problem_is_answered_on_its_own_id_unix() {
+    invalid_problem_scenario("invalid-unix", Transport::Unix);
+}
+
+#[test]
+fn invalid_problem_is_answered_on_its_own_id_tcp() {
+    invalid_problem_scenario("invalid-tcp", Transport::Tcp);
 }
 
 #[test]
