@@ -1530,6 +1530,20 @@ mod tests {
     }
 
     #[test]
+    fn design_job_content_keys_are_pinned() {
+        // The canonical bytes of the case-study design problem are the
+        // wire format's fixed point: a change here re-keys every cached
+        // artifact and breaks every deployed client.
+        let fleet = cps_core::case_study::derived_fleet_specs();
+        let alloc = AllocatorConfig::default();
+        let bus = FlexRayConfig::paper_case_study();
+        let job = crate::design_job(&fleet, &alloc, &bus);
+        assert_eq!(job.canonical_bytes().len(), 1444);
+        assert_eq!(job.content_key(), 0x40df_fcec_6d71_fa7c);
+        assert_eq!(crate::design_job(&fleet[..1], &alloc, &bus).content_key(), 0xf265_97d3_44f9_285e);
+    }
+
+    #[test]
     fn malformed_payloads_fail_cleanly() {
         let request = Request {
             id: 1,

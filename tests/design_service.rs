@@ -19,7 +19,7 @@
 
 use automotive_cps::core::{case_study, ApplicationSpec, FleetDesigner};
 use automotive_cps::flexray::FlexRayConfig;
-use automotive_cps::sched::{AllocatorConfig, AppTimingParams};
+use automotive_cps::sched::{AllocatorConfig, AppTimingParams, SlotTiming};
 use automotive_cps::serve::protocol::{read_frame, write_frame};
 use automotive_cps::serve::{
     design_job, CampaignJob, ChaosConfig, DesignClient, DesignServer, Endpoint, ErrorKind, Job,
@@ -892,27 +892,43 @@ fn chaos_soak_terminates_every_request_and_replays_deterministically_tcp() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    // Round trip: an arbitrary campaign request (floats, vectors, flags)
-    // encodes and decodes to itself exactly.
+    // Round trip: an arbitrary design, sweep or campaign request (fleet
+    // size, slot budget and overhead, floats, vectors, flags) decodes to
+    // itself, and re-encoding the decoded request gives back the very same
+    // bytes, so a decoded job keeps the content key it arrived under.
     #[test]
     fn wire_requests_round_trip(
+        kind in 0usize..3,
+        apps in 1usize..7,
+        overhead in 0.0f64..1e-4,
         id in 0usize..1_000_000,
         deadline in 0usize..100_000,
         budget in 0usize..1_000_000,
         seed in 0usize..1_000_000,
         drops in proptest::collection::vec(0.0f64..1.0, 0..6),
+        counts in proptest::collection::vec(1usize..64, 0..4),
         scenarios in 0usize..10_000,
         duration in 0.01f64..10.0,
         alpha in 0.001f64..0.5,
         every in 0usize..512,
     ) {
-        let request = automotive_cps::serve::Request {
-            id: id as u64,
-            deadline_ms: deadline as u32,
-            node_budget: budget as u64,
-            require_certified: seed % 2 == 0,
-            job: Job::Campaign(CampaignJob {
-                design: match nominal_job() { Job::Design(d) => d, _ => unreachable!() },
+        let alloc = AllocatorConfig {
+            max_slots: apps,
+            slot_timing: SlotTiming::new(overhead).expect("a valid overhead"),
+            ..AllocatorConfig::default()
+        };
+        let design =
+            design_job(&fleet_specs()[..apps], &alloc, &FlexRayConfig::paper_case_study());
+        let job = match kind {
+            0 => Job::Design(design),
+            1 => Job::Sweep(SweepJob {
+                design,
+                cycle_lengths: drops.iter().map(|p| 0.001 + 0.01 * p).collect(),
+                static_slot_counts: counts.iter().map(|&count| count as u32).collect(),
+                slot_lengths: drops.iter().map(|p| 1e-5 * (1.0 + p)).collect(),
+            }),
+            _ => Job::Campaign(CampaignJob {
+                design,
                 seed: seed as u64,
                 drop_probabilities: drops,
                 scenarios_per_intensity: scenarios as u64,
@@ -921,8 +937,17 @@ proptest! {
                 progress_every: every as u64,
             }),
         };
-        let decoded = automotive_cps::serve::Request::decode(&request.encode());
-        prop_assert_eq!(decoded.expect("round trip"), request);
+        let request = Request {
+            id: id as u64,
+            deadline_ms: deadline as u32,
+            node_budget: budget as u64,
+            require_certified: seed % 2 == 0,
+            job,
+        };
+        let bytes = request.encode();
+        let decoded = Request::decode(&bytes).expect("round trip");
+        prop_assert_eq!(decoded.encode(), bytes, "re-encoding must give back the same bytes");
+        prop_assert_eq!(decoded, request);
     }
 
     // Adversarial decode: truncations and byte flips of a valid payload
