@@ -10,7 +10,7 @@ use cps_control::{
 use std::sync::Arc;
 
 /// How the ET/TT state-feedback controllers of an application are designed.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ControllerSpec {
     /// LQR with separate weights for the ET and the TT loop.
     Lqr {
@@ -30,7 +30,7 @@ pub enum ControllerSpec {
 }
 
 /// The full description of one control application in the case study.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ApplicationSpec {
     /// Application name (e.g. `"C3"`).
     pub name: String,

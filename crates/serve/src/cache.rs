@@ -2,8 +2,10 @@
 //! deduplication.
 //!
 //! Design artifacts (a [`DesignedFleet`] plus its certification flag) are
-//! keyed by the FNV-1a content hash of the *canonical job encoding*
-//! ([`DesignJob::content_key`](crate::protocol::DesignJob::content_key)) —
+//! keyed by the FNV-1a [`content_hash`](crate::protocol::content_hash) of
+//! the *canonical job encoding*
+//! ([`DesignJob::canonical_bytes`](crate::protocol::DesignJob::canonical_bytes),
+//! encoded once per request) —
 //! but the hash is only the *address*, never the identity: every entry (and
 //! every in-flight computation) stores the canonical job bytes themselves,
 //! and a lookup compares them on a hash hit. Two distinct jobs whose 64-bit

@@ -454,15 +454,11 @@ mod tests {
                 },
             );
         let job = Job::Campaign(crate::protocol::CampaignJob {
-            design: crate::protocol::DesignJob {
-                specs: vec![],
-                alloc: crate::protocol::WireAllocatorConfig::from_config(
-                    &cps_sched::AllocatorConfig::default(),
-                ),
-                bus: crate::protocol::WireBusConfig::from_config(
-                    &cps_flexray::FlexRayConfig::paper_case_study(),
-                ),
-            },
+            design: crate::design_job(
+                &[],
+                &cps_sched::AllocatorConfig::default(),
+                &cps_flexray::FlexRayConfig::paper_case_study(),
+            ),
             seed: 1,
             drop_probabilities: vec![],
             scenarios_per_intensity: 0,

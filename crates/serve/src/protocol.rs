@@ -22,6 +22,15 @@
 //! (collection lengths are validated against the bytes actually remaining
 //! before any allocation).
 //!
+//! Requests carry the pipeline's own types — [`ApplicationSpec`],
+//! [`AllocatorConfig`], [`FlexRayConfig`] — written and read by free
+//! `encode_*`/`decode_*` functions, as the response side carries
+//! [`AppTimingParams`]. Decoding runs each type's constructor (matrix
+//! shape, plant, slot timing), so domain validation happens here, once,
+//! as the frame is read. A value its constructor rejects decodes to
+//! [`WireError::Rejected`]: the frame was well formed up to that field and
+//! names an invalid problem. Every other variant is a framing fault.
+//!
 //! # Content addressing
 //!
 //! Jobs are cache-keyed by [`content_hash`] (FNV-1a 64) over their canonical
@@ -65,6 +74,15 @@ pub enum WireError {
         /// Unconsumed byte count.
         remaining: usize,
     },
+    /// A field decoded, but its domain constructor rejected the value (a
+    /// matrix shape that disagrees with its data, a non-square or
+    /// non-finite plant, a negative slot overhead). Unlike the other
+    /// variants this is no framing fault: the request names an invalid
+    /// problem and is answered as such.
+    Rejected {
+        /// What was rejected.
+        what: &'static str,
+    },
 }
 
 impl fmt::Display for WireError {
@@ -73,7 +91,9 @@ impl fmt::Display for WireError {
             WireError::Truncated { needed, available } => {
                 write!(f, "truncated payload: needed {needed} bytes, {available} available")
             }
-            WireError::Invalid { what } => write!(f, "invalid {what}"),
+            WireError::Invalid { what } | WireError::Rejected { what } => {
+                write!(f, "invalid {what}")
+            }
             WireError::Trailing { remaining } => {
                 write!(f, "{remaining} trailing bytes after message")
             }
@@ -339,15 +359,17 @@ pub enum Job {
     Campaign(CampaignJob),
 }
 
-/// A complete fleet-design problem: specs + allocator + bus.
+/// A complete fleet-design problem: specs + allocator + bus, in the
+/// pipeline's own types. Decoding one runs their constructors, so a job
+/// that exists is a valid problem.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DesignJob {
     /// The application specifications.
-    pub specs: Vec<WireAppSpec>,
+    pub specs: Vec<ApplicationSpec>,
     /// Allocator configuration (model, method, slot budget, geometry).
-    pub alloc: WireAllocatorConfig,
+    pub alloc: AllocatorConfig,
     /// Bus configuration the fleet is designed against.
-    pub bus: WireBusConfig,
+    pub bus: FlexRayConfig,
 }
 
 /// A 3-axis bus-geometry sweep over a designed fleet.
@@ -384,440 +406,165 @@ pub struct CampaignJob {
     pub progress_every: u64,
 }
 
-/// Wire form of a dense matrix (row-major, bit-exact `f64`s).
-#[derive(Debug, Clone, PartialEq)]
-pub struct WireMatrix {
-    /// Row count.
-    pub rows: u32,
-    /// Column count.
-    pub cols: u32,
-    /// Row-major entries (`rows · cols` values).
-    pub data: Vec<f64>,
+fn encode_matrix(matrix: &Matrix, w: &mut WireWriter) {
+    w.put_u32(matrix.rows() as u32);
+    w.put_u32(matrix.cols() as u32);
+    w.put_f64s(matrix.as_slice());
 }
 
-impl WireMatrix {
-    /// Captures a [`Matrix`].
-    pub fn from_matrix(matrix: &Matrix) -> Self {
-        WireMatrix {
-            rows: matrix.rows() as u32,
-            cols: matrix.cols() as u32,
-            data: matrix.as_slice().to_vec(),
+fn decode_matrix(r: &mut WireReader<'_>) -> WireResult<Matrix> {
+    let rows = r.u32()? as usize;
+    let cols = r.u32()? as usize;
+    Matrix::from_vec(rows, cols, r.f64s()?)
+        .map_err(|_| WireError::Rejected { what: "matrix shape" })
+}
+
+fn decode_usize(r: &mut WireReader<'_>, what: &'static str) -> WireResult<usize> {
+    usize::try_from(r.u64()?).map_err(|_| WireError::Rejected { what })
+}
+
+fn encode_weights(weights: &LqrWeights, w: &mut WireWriter) {
+    encode_matrix(&weights.state, w);
+    encode_matrix(&weights.input, w);
+    w.put_f64(weights.previous_input);
+}
+
+fn decode_weights(r: &mut WireReader<'_>) -> WireResult<LqrWeights> {
+    Ok(LqrWeights { state: decode_matrix(r)?, input: decode_matrix(r)?, previous_input: r.f64()? })
+}
+
+fn encode_spec(spec: &ApplicationSpec, w: &mut WireWriter) {
+    w.put_str(&spec.name);
+    encode_matrix(spec.plant.a(), w);
+    encode_matrix(spec.plant.b(), w);
+    encode_matrix(spec.plant.c(), w);
+    w.put_f64(spec.period);
+    w.put_f64(spec.et_delay);
+    w.put_f64(spec.tt_delay);
+    w.put_f64(spec.threshold);
+    w.put_f64s(&spec.disturbance);
+    w.put_f64(spec.deadline);
+    w.put_f64(spec.inter_arrival);
+    match &spec.controllers {
+        ControllerSpec::Lqr { et_weights, tt_weights } => {
+            w.put_u8(0);
+            encode_weights(et_weights, w);
+            encode_weights(tt_weights, w);
+        }
+        ControllerSpec::PolePlacement { et_poles, tt_poles } => {
+            w.put_u8(1);
+            w.put_f64s(et_poles);
+            w.put_f64s(tt_poles);
         }
     }
-
-    /// Rebuilds the [`Matrix`].
-    ///
-    /// # Errors
-    ///
-    /// [`WireError::Invalid`] when the shape and data length disagree.
-    pub fn into_matrix(self) -> WireResult<Matrix> {
-        Matrix::from_vec(self.rows as usize, self.cols as usize, self.data)
-            .map_err(|_| WireError::Invalid { what: "matrix shape" })
-    }
-
-    fn encode(&self, w: &mut WireWriter) {
-        w.put_u32(self.rows);
-        w.put_u32(self.cols);
-        w.put_f64s(&self.data);
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> WireResult<Self> {
-        Ok(WireMatrix { rows: r.u32()?, cols: r.u32()?, data: r.f64s()? })
-    }
+    encode_opt_f64(spec.input_limit, w);
 }
 
-/// Wire form of [`ControllerSpec`].
-#[derive(Debug, Clone, PartialEq)]
-pub enum WireControllerSpec {
-    /// LQR weights for each mode.
-    Lqr {
-        /// ET-mode state/input weights + previous-input weight.
-        et: (WireMatrix, WireMatrix, f64),
-        /// TT-mode state/input weights + previous-input weight.
-        tt: (WireMatrix, WireMatrix, f64),
-    },
-    /// Continuous-time target poles per mode.
-    PolePlacement {
-        /// ET-mode poles.
-        et_poles: Vec<f64>,
-        /// TT-mode poles.
-        tt_poles: Vec<f64>,
-    },
-}
-
-/// Wire form of [`ApplicationSpec`]: everything the design pipeline needs,
-/// with every float carried bit-exactly.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WireAppSpec {
-    /// Application name.
-    pub name: String,
-    /// Plant state matrix `A`.
-    pub a: WireMatrix,
-    /// Plant input matrix `B`.
-    pub b: WireMatrix,
-    /// Plant output matrix `C`.
-    pub c: WireMatrix,
-    /// Sampling period in seconds.
-    pub period: f64,
-    /// Worst-case ET sensor-to-actuator delay.
-    pub et_delay: f64,
-    /// Deterministic TT sensor-to-actuator delay.
-    pub tt_delay: f64,
-    /// Switching threshold `E_th`.
-    pub threshold: f64,
-    /// Disturbance state jump.
-    pub disturbance: Vec<f64>,
-    /// Response-time deadline ξᵈ.
-    pub deadline: f64,
-    /// Disturbance inter-arrival time `r`.
-    pub inter_arrival: f64,
-    /// Controller synthesis specification.
-    pub controllers: WireControllerSpec,
-    /// Optional actuator saturation limit.
-    pub input_limit: Option<f64>,
-}
-
-impl WireAppSpec {
-    /// Captures an [`ApplicationSpec`].
-    pub fn from_spec(spec: &ApplicationSpec) -> Self {
-        let controllers = match &spec.controllers {
-            ControllerSpec::Lqr { et_weights, tt_weights } => WireControllerSpec::Lqr {
-                et: (
-                    WireMatrix::from_matrix(&et_weights.state),
-                    WireMatrix::from_matrix(&et_weights.input),
-                    et_weights.previous_input,
-                ),
-                tt: (
-                    WireMatrix::from_matrix(&tt_weights.state),
-                    WireMatrix::from_matrix(&tt_weights.input),
-                    tt_weights.previous_input,
-                ),
+fn decode_spec(r: &mut WireReader<'_>) -> WireResult<ApplicationSpec> {
+    let name = r.str()?;
+    let a = decode_matrix(r)?;
+    let b = decode_matrix(r)?;
+    let c = decode_matrix(r)?;
+    let plant = ContinuousStateSpace::new(a, b, c)
+        .map_err(|_| WireError::Rejected { what: "plant model" })?;
+    Ok(ApplicationSpec {
+        name,
+        plant,
+        period: r.f64()?,
+        et_delay: r.f64()?,
+        tt_delay: r.f64()?,
+        threshold: r.f64()?,
+        disturbance: r.f64s()?,
+        deadline: r.f64()?,
+        inter_arrival: r.f64()?,
+        controllers: match r.u8()? {
+            0 => ControllerSpec::Lqr {
+                et_weights: decode_weights(r)?,
+                tt_weights: decode_weights(r)?,
             },
-            ControllerSpec::PolePlacement { et_poles, tt_poles } => {
-                WireControllerSpec::PolePlacement {
-                    et_poles: et_poles.clone(),
-                    tt_poles: tt_poles.clone(),
-                }
-            }
-        };
-        WireAppSpec {
-            name: spec.name.clone(),
-            a: WireMatrix::from_matrix(spec.plant.a()),
-            b: WireMatrix::from_matrix(spec.plant.b()),
-            c: WireMatrix::from_matrix(spec.plant.c()),
-            period: spec.period,
-            et_delay: spec.et_delay,
-            tt_delay: spec.tt_delay,
-            threshold: spec.threshold,
-            disturbance: spec.disturbance.clone(),
-            deadline: spec.deadline,
-            inter_arrival: spec.inter_arrival,
-            controllers,
-            input_limit: spec.input_limit,
-        }
-    }
-
-    /// Rebuilds the [`ApplicationSpec`] (plant validation included).
-    ///
-    /// # Errors
-    ///
-    /// [`WireError::Invalid`] when the matrices do not form a valid plant.
-    pub fn into_spec(self) -> WireResult<ApplicationSpec> {
-        let plant = ContinuousStateSpace::new(
-            self.a.into_matrix()?,
-            self.b.into_matrix()?,
-            self.c.into_matrix()?,
-        )
-        .map_err(|_| WireError::Invalid { what: "plant model" })?;
-        let controllers = match self.controllers {
-            WireControllerSpec::Lqr { et, tt } => ControllerSpec::Lqr {
-                et_weights: LqrWeights {
-                    state: et.0.into_matrix()?,
-                    input: et.1.into_matrix()?,
-                    previous_input: et.2,
-                },
-                tt_weights: LqrWeights {
-                    state: tt.0.into_matrix()?,
-                    input: tt.1.into_matrix()?,
-                    previous_input: tt.2,
-                },
-            },
-            WireControllerSpec::PolePlacement { et_poles, tt_poles } => {
-                ControllerSpec::PolePlacement { et_poles, tt_poles }
-            }
-        };
-        Ok(ApplicationSpec {
-            name: self.name,
-            plant,
-            period: self.period,
-            et_delay: self.et_delay,
-            tt_delay: self.tt_delay,
-            threshold: self.threshold,
-            disturbance: self.disturbance,
-            deadline: self.deadline,
-            inter_arrival: self.inter_arrival,
-            controllers,
-            input_limit: self.input_limit,
-        })
-    }
-
-    fn encode(&self, w: &mut WireWriter) {
-        w.put_str(&self.name);
-        self.a.encode(w);
-        self.b.encode(w);
-        self.c.encode(w);
-        w.put_f64(self.period);
-        w.put_f64(self.et_delay);
-        w.put_f64(self.tt_delay);
-        w.put_f64(self.threshold);
-        w.put_f64s(&self.disturbance);
-        w.put_f64(self.deadline);
-        w.put_f64(self.inter_arrival);
-        match &self.controllers {
-            WireControllerSpec::Lqr { et, tt } => {
-                w.put_u8(0);
-                et.0.encode(w);
-                et.1.encode(w);
-                w.put_f64(et.2);
-                tt.0.encode(w);
-                tt.1.encode(w);
-                w.put_f64(tt.2);
-            }
-            WireControllerSpec::PolePlacement { et_poles, tt_poles } => {
-                w.put_u8(1);
-                w.put_f64s(et_poles);
-                w.put_f64s(tt_poles);
-            }
-        }
-        match self.input_limit {
-            None => w.put_u8(0),
-            Some(limit) => {
-                w.put_u8(1);
-                w.put_f64(limit);
-            }
-        }
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> WireResult<Self> {
-        let name = r.str()?;
-        let a = WireMatrix::decode(r)?;
-        let b = WireMatrix::decode(r)?;
-        let c = WireMatrix::decode(r)?;
-        let period = r.f64()?;
-        let et_delay = r.f64()?;
-        let tt_delay = r.f64()?;
-        let threshold = r.f64()?;
-        let disturbance = r.f64s()?;
-        let deadline = r.f64()?;
-        let inter_arrival = r.f64()?;
-        let controllers = match r.u8()? {
-            0 => {
-                let et_state = WireMatrix::decode(r)?;
-                let et_input = WireMatrix::decode(r)?;
-                let et_prev = r.f64()?;
-                let tt_state = WireMatrix::decode(r)?;
-                let tt_input = WireMatrix::decode(r)?;
-                let tt_prev = r.f64()?;
-                WireControllerSpec::Lqr {
-                    et: (et_state, et_input, et_prev),
-                    tt: (tt_state, tt_input, tt_prev),
-                }
-            }
-            1 => WireControllerSpec::PolePlacement { et_poles: r.f64s()?, tt_poles: r.f64s()? },
+            1 => ControllerSpec::PolePlacement { et_poles: r.f64s()?, tt_poles: r.f64s()? },
             _ => return Err(WireError::Invalid { what: "controller-spec tag" }),
-        };
-        let input_limit = match r.u8()? {
-            0 => None,
-            1 => Some(r.f64()?),
-            _ => return Err(WireError::Invalid { what: "input-limit tag" }),
-        };
-        Ok(WireAppSpec {
-            name,
-            a,
-            b,
-            c,
-            period,
-            et_delay,
-            tt_delay,
-            threshold,
-            disturbance,
-            deadline,
-            inter_arrival,
-            controllers,
-            input_limit,
-        })
-    }
+        },
+        input_limit: decode_opt_f64(r)?,
+    })
 }
 
-/// Wire form of [`AllocatorConfig`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct WireAllocatorConfig {
-    /// Dwell-time model.
-    pub model: ModelKind,
-    /// Wait-time method.
-    pub method: WaitTimeMethod,
-    /// Greedy packing strategy (the exact search ignores it; it still keys
-    /// the greedy incumbent).
-    pub strategy: AllocationStrategy,
-    /// Maximum TT slots.
-    pub max_slots: u64,
-    /// Per-slot transmission overhead in seconds ([`SlotTiming`]).
-    pub slot_overhead: f64,
+fn encode_alloc(config: &AllocatorConfig, w: &mut WireWriter) {
+    w.put_u8(match config.model {
+        ModelKind::NonMonotonic => 0,
+        ModelKind::ConservativeMonotonic => 1,
+        ModelKind::SimpleMonotonic => 2,
+    });
+    w.put_u8(match config.method {
+        WaitTimeMethod::ClosedFormBound => 0,
+        WaitTimeMethod::ExactFixedPoint => 1,
+    });
+    w.put_u8(match config.strategy {
+        AllocationStrategy::NextFit => 0,
+        AllocationStrategy::FirstFit => 1,
+        AllocationStrategy::BestFit => 2,
+    });
+    w.put_u64(config.max_slots as u64);
+    w.put_f64(config.slot_timing.overhead());
 }
 
-impl WireAllocatorConfig {
-    /// Captures an [`AllocatorConfig`].
-    pub fn from_config(config: &AllocatorConfig) -> Self {
-        WireAllocatorConfig {
-            model: config.model,
-            method: config.method,
-            strategy: config.strategy,
-            max_slots: config.max_slots as u64,
-            slot_overhead: config.slot_timing.overhead(),
-        }
-    }
-
-    /// Rebuilds the [`AllocatorConfig`].
-    ///
-    /// # Errors
-    ///
-    /// [`WireError::Invalid`] on a non-finite or negative slot overhead.
-    pub fn into_config(self) -> WireResult<AllocatorConfig> {
-        Ok(AllocatorConfig {
-            model: self.model,
-            method: self.method,
-            strategy: self.strategy,
-            max_slots: usize::try_from(self.max_slots)
-                .map_err(|_| WireError::Invalid { what: "slot budget" })?,
-            slot_timing: SlotTiming::new(self.slot_overhead)
-                .map_err(|_| WireError::Invalid { what: "slot overhead" })?,
-        })
-    }
-
-    fn encode(&self, w: &mut WireWriter) {
-        w.put_u8(match self.model {
-            ModelKind::NonMonotonic => 0,
-            ModelKind::ConservativeMonotonic => 1,
-            ModelKind::SimpleMonotonic => 2,
-        });
-        w.put_u8(match self.method {
-            WaitTimeMethod::ClosedFormBound => 0,
-            WaitTimeMethod::ExactFixedPoint => 1,
-        });
-        w.put_u8(match self.strategy {
-            AllocationStrategy::NextFit => 0,
-            AllocationStrategy::FirstFit => 1,
-            AllocationStrategy::BestFit => 2,
-        });
-        w.put_u64(self.max_slots);
-        w.put_f64(self.slot_overhead);
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> WireResult<Self> {
-        let model = match r.u8()? {
+fn decode_alloc(r: &mut WireReader<'_>) -> WireResult<AllocatorConfig> {
+    Ok(AllocatorConfig {
+        model: match r.u8()? {
             0 => ModelKind::NonMonotonic,
             1 => ModelKind::ConservativeMonotonic,
             2 => ModelKind::SimpleMonotonic,
             _ => return Err(WireError::Invalid { what: "model tag" }),
-        };
-        let method = match r.u8()? {
+        },
+        method: match r.u8()? {
             0 => WaitTimeMethod::ClosedFormBound,
             1 => WaitTimeMethod::ExactFixedPoint,
             _ => return Err(WireError::Invalid { what: "method tag" }),
-        };
-        let strategy = match r.u8()? {
+        },
+        strategy: match r.u8()? {
             0 => AllocationStrategy::NextFit,
             1 => AllocationStrategy::FirstFit,
             2 => AllocationStrategy::BestFit,
             _ => return Err(WireError::Invalid { what: "strategy tag" }),
-        };
-        Ok(WireAllocatorConfig {
-            model,
-            method,
-            strategy,
-            max_slots: r.u64()?,
-            slot_overhead: r.f64()?,
-        })
-    }
+        },
+        max_slots: decode_usize(r, "slot budget")?,
+        slot_timing: SlotTiming::new(r.f64()?)
+            .map_err(|_| WireError::Rejected { what: "slot overhead" })?,
+    })
 }
 
-/// Wire form of [`FlexRayConfig`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct WireBusConfig {
-    /// Communication cycle length in seconds.
-    pub cycle_length: f64,
-    /// Static (TT) slots per cycle.
-    pub static_slot_count: u64,
-    /// Static slot length in seconds.
-    pub static_slot_length: f64,
-    /// Minislots per cycle.
-    pub minislot_count: u64,
-    /// Minislot length in seconds.
-    pub minislot_length: f64,
+fn encode_bus(config: &FlexRayConfig, w: &mut WireWriter) {
+    w.put_f64(config.cycle_length);
+    w.put_u64(config.static_slot_count as u64);
+    w.put_f64(config.static_slot_length);
+    w.put_u64(config.minislot_count as u64);
+    w.put_f64(config.minislot_length);
 }
 
-impl WireBusConfig {
-    /// Captures a [`FlexRayConfig`].
-    pub fn from_config(config: &FlexRayConfig) -> Self {
-        WireBusConfig {
-            cycle_length: config.cycle_length,
-            static_slot_count: config.static_slot_count as u64,
-            static_slot_length: config.static_slot_length,
-            minislot_count: config.minislot_count as u64,
-            minislot_length: config.minislot_length,
-        }
-    }
-
-    /// Rebuilds the [`FlexRayConfig`].
-    ///
-    /// # Errors
-    ///
-    /// [`WireError::Invalid`] when a count does not fit `usize`.
-    pub fn into_config(self) -> WireResult<FlexRayConfig> {
-        Ok(FlexRayConfig {
-            cycle_length: self.cycle_length,
-            static_slot_count: usize::try_from(self.static_slot_count)
-                .map_err(|_| WireError::Invalid { what: "static slot count" })?,
-            static_slot_length: self.static_slot_length,
-            minislot_count: usize::try_from(self.minislot_count)
-                .map_err(|_| WireError::Invalid { what: "minislot count" })?,
-            minislot_length: self.minislot_length,
-        })
-    }
-
-    fn encode(&self, w: &mut WireWriter) {
-        w.put_f64(self.cycle_length);
-        w.put_u64(self.static_slot_count);
-        w.put_f64(self.static_slot_length);
-        w.put_u64(self.minislot_count);
-        w.put_f64(self.minislot_length);
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> WireResult<Self> {
-        Ok(WireBusConfig {
-            cycle_length: r.f64()?,
-            static_slot_count: r.u64()?,
-            static_slot_length: r.f64()?,
-            minislot_count: r.u64()?,
-            minislot_length: r.f64()?,
-        })
-    }
+fn decode_bus(r: &mut WireReader<'_>) -> WireResult<FlexRayConfig> {
+    Ok(FlexRayConfig {
+        cycle_length: r.f64()?,
+        static_slot_count: decode_usize(r, "static slot count")?,
+        static_slot_length: r.f64()?,
+        minislot_count: decode_usize(r, "minislot count")?,
+        minislot_length: r.f64()?,
+    })
 }
 
 impl DesignJob {
     fn encode(&self, w: &mut WireWriter) {
         w.put_u32(self.specs.len() as u32);
         for spec in &self.specs {
-            spec.encode(w);
+            encode_spec(spec, w);
         }
-        self.alloc.encode(w);
-        self.bus.encode(w);
+        encode_alloc(&self.alloc, w);
+        encode_bus(&self.bus, w);
     }
 
     fn decode(r: &mut WireReader<'_>) -> WireResult<Self> {
         let count = r.len(16)?;
-        let specs = (0..count).map(|_| WireAppSpec::decode(r)).collect::<WireResult<Vec<_>>>()?;
-        Ok(DesignJob { specs, alloc: WireAllocatorConfig::decode(r)?, bus: WireBusConfig::decode(r)? })
+        let specs = (0..count).map(|_| decode_spec(r)).collect::<WireResult<Vec<_>>>()?;
+        Ok(DesignJob { specs, alloc: decode_alloc(r)?, bus: decode_bus(r)? })
     }
 
     /// Canonical encoding of this design problem — the bytes behind the
@@ -896,13 +643,6 @@ impl Job {
             })),
             _ => Err(WireError::Invalid { what: "job tag" }),
         }
-    }
-
-    /// Content key of the whole job (kind + every parameter).
-    pub fn content_key(&self) -> u64 {
-        let mut w = WireWriter::new();
-        self.encode(&mut w);
-        content_hash(&w.into_bytes())
     }
 }
 
@@ -1384,11 +1124,7 @@ mod tests {
 
     fn sample_design_job() -> DesignJob {
         let spec = cps_core::case_study::derived_fleet_specs().remove(0);
-        DesignJob {
-            specs: vec![WireAppSpec::from_spec(&spec)],
-            alloc: WireAllocatorConfig::from_config(&AllocatorConfig::default()),
-            bus: WireBusConfig::from_config(&FlexRayConfig::paper_case_study()),
-        }
+        crate::design_job(&[spec], &AllocatorConfig::default(), &FlexRayConfig::paper_case_study())
     }
 
     #[test]
@@ -1517,16 +1253,23 @@ mod tests {
 
     #[test]
     fn content_keys_are_stable_and_discriminating() {
-        let job = Job::Design(sample_design_job());
-        assert_eq!(job.content_key(), job.content_key());
+        let job = sample_design_job();
+        assert_eq!(job.content_key(), sample_design_job().content_key());
         let mut other = sample_design_job();
         other.alloc.max_slots += 1;
-        assert_ne!(job.content_key(), Job::Design(other).content_key());
-        // The request envelope (id, deadline) does not enter the key.
-        assert_eq!(
-            Job::Design(sample_design_job()).content_key(),
-            Job::Design(sample_design_job()).content_key()
-        );
+        assert_ne!(job.content_key(), other.content_key());
+        // The key covers the design problem only: the request envelope
+        // (id, deadline) and the job kind wrapped around it do not enter it.
+        let campaign = Job::Campaign(CampaignJob {
+            design: sample_design_job(),
+            seed: 7,
+            drop_probabilities: vec![0.1],
+            scenarios_per_intensity: 2,
+            duration: 1.0,
+            alpha: 0.05,
+            progress_every: 0,
+        });
+        assert_eq!(campaign.design().content_key(), job.content_key());
     }
 
     #[test]
@@ -1540,7 +1283,8 @@ mod tests {
         let job = crate::design_job(&fleet, &alloc, &bus);
         assert_eq!(job.canonical_bytes().len(), 1444);
         assert_eq!(job.content_key(), 0x40df_fcec_6d71_fa7c);
-        assert_eq!(crate::design_job(&fleet[..1], &alloc, &bus).content_key(), 0xf265_97d3_44f9_285e);
+        let first_app = crate::design_job(&fleet[..1], &alloc, &bus);
+        assert_eq!(first_app.content_key(), 0xf265_97d3_44f9_285e);
     }
 
     #[test]

@@ -52,9 +52,9 @@
 use crate::cache::{ArtifactCache, CacheOutcome, DesignArtifact};
 use crate::chaos::{ChaosConfig, ChaosPlan};
 use crate::protocol::{
-    read_frame, write_frame, CampaignJob, CampaignProgress, CampaignResult, DesignJob,
-    DesignResult, ErrorKind, FamilyProgress, FamilyReadout, Job, Outcome, Request, Response,
-    SweepJob, SweepResult, SweepRow,
+    content_hash, read_frame, write_frame, CampaignJob, CampaignProgress, CampaignResult,
+    DesignJob, DesignResult, ErrorKind, FamilyProgress, FamilyReadout, Job, Outcome, Request,
+    Response, SweepJob, SweepResult, SweepRow, WireError, WireReader,
 };
 use cps_core::BusConfigSweep;
 use cps_core::{
@@ -670,6 +670,18 @@ fn handle_connection<S: Read + Write>(
         };
         let request = match Request::decode(&payload) {
             Ok(request) => request,
+            Err(error @ WireError::Rejected { .. }) => {
+                // Well formed up to a field its constructor rejected: the
+                // header decoded and the frame boundary holds, so answer on
+                // the request's own id and keep serving the connection.
+                shared.stats.requests.fetch_add(1, Ordering::Relaxed);
+                let id = WireReader::new(&payload).u64().unwrap_or(0);
+                let outcome = error_outcome(ErrorKind::InvalidRequest, error.to_string());
+                if write_frame(&mut stream, &Response { id, outcome }.encode()).is_err() {
+                    return;
+                }
+                continue;
+            }
             Err(error) => {
                 shared.stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
                 let response = Response {
@@ -859,33 +871,21 @@ fn execute_job(
     token: &CancelToken,
     progress: &SyncSender<Outcome>,
 ) -> Outcome {
-    // Decode-validate the design problem before touching the cache, so an
-    // invalid request can never become a leader that poisons a key.
-    let design_job = request.job.design();
-    let specs: Result<Vec<ApplicationSpec>, _> =
-        design_job.specs.iter().cloned().map(|spec| spec.into_spec()).collect();
-    let (specs, alloc, bus) = match (
-        specs,
-        design_job.alloc.clone().into_config(),
-        design_job.bus.clone().into_config(),
-    ) {
-        (Ok(specs), Ok(alloc), Ok(bus)) => (specs, alloc, bus),
-        (Err(error), _, _) | (_, Err(error), _) | (_, _, Err(error)) => {
-            return error_outcome(ErrorKind::InvalidRequest, error.to_string())
-        }
-    };
-
-    let job_bytes = design_job.canonical_bytes();
-    let key = design_job.content_key();
+    // Decoding already validated the design problem, so an invalid request
+    // never reaches the cache and can never become a leader that poisons a
+    // key. The job is encoded once: its bytes both key and verify the entry.
+    let design = request.job.design();
+    let job_bytes = design.canonical_bytes();
+    let key = content_hash(&job_bytes);
     let node_budget = (request.node_budget > 0).then_some(request.node_budget);
     let (artifact, from_cache) = match obtain_artifact(
         shared,
         key,
         &job_bytes,
         request.require_certified,
-        &specs,
-        &alloc,
-        bus,
+        &design.specs,
+        &design.alloc,
+        design.bus,
         node_budget,
         token,
     ) {
@@ -899,7 +899,7 @@ fn execute_job(
             &artifact,
             from_cache,
             sweep,
-            &alloc,
+            &design.alloc,
             shared.config.allocator_threads,
             token,
         ),
@@ -1159,18 +1159,14 @@ fn campaign_outcome(
     }
 }
 
-/// Constructs a [`DesignJob`] from native pipeline types (convenience for
-/// clients and tests).
+/// Constructs a [`DesignJob`] from borrowed pipeline types (convenience
+/// for clients and tests).
 pub fn design_job(
     specs: &[ApplicationSpec],
     alloc: &AllocatorConfig,
     bus: &FlexRayConfig,
 ) -> DesignJob {
-    DesignJob {
-        specs: specs.iter().map(crate::protocol::WireAppSpec::from_spec).collect(),
-        alloc: crate::protocol::WireAllocatorConfig::from_config(alloc),
-        bus: crate::protocol::WireBusConfig::from_config(bus),
-    }
+    DesignJob { specs: specs.to_vec(), alloc: *alloc, bus: *bus }
 }
 
 #[cfg(test)]

@@ -604,8 +604,13 @@ fn invalid_problem_scenario(name: &str, transport: Transport) {
 
     // A valid design on the same connection is answered bit-identically to
     // the direct pipeline.
-    let nominal =
-        Request { id: 104, deadline_ms: 0, node_budget: 0, require_certified: false, job: nominal_job() };
+    let nominal = Request {
+        id: 104,
+        deadline_ms: 0,
+        node_budget: 0,
+        require_certified: false,
+        job: nominal_job(),
+    };
     let response = raw_round_trip(&mut stream, &nominal.encode());
     assert_eq!(response.id, 104);
     let Outcome::Design(design) = response.outcome else {
