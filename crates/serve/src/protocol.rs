@@ -29,7 +29,7 @@
 //! shape, plant, slot timing), so domain validation happens here, once,
 //! as the frame is read. A value its constructor rejects decodes to
 //! [`WireError::Rejected`]: the frame was well formed up to that field and
-//! names an invalid problem. Every other variant is a framing fault.
+//! names an invalid problem. Every other variant is a structural fault.
 //!
 //! # Content addressing
 //!
@@ -77,7 +77,7 @@ pub enum WireError {
     /// A field decoded, but its domain constructor rejected the value (a
     /// matrix shape that disagrees with its data, a non-square or
     /// non-finite plant, a negative slot overhead). Unlike the other
-    /// variants this is no framing fault: the request names an invalid
+    /// variants this is no structural fault: the request names an invalid
     /// problem and is answered as such.
     Rejected {
         /// What was rejected.
@@ -360,8 +360,7 @@ pub enum Job {
 }
 
 /// A complete fleet-design problem: specs + allocator + bus, in the
-/// pipeline's own types. Decoding one runs their constructors, so a job
-/// that exists is a valid problem.
+/// pipeline's own types (decoding one runs their constructors).
 #[derive(Debug, Clone, PartialEq)]
 pub struct DesignJob {
     /// The application specifications.
