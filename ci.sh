@@ -210,6 +210,19 @@ if ! cargo test -q -p cps-flexray -- --list | grep "reference.*: test" > /dev/nu
     exit 1
 fi
 
+# The greedy packing judges candidate slots with the allocation-free verdict
+# and is pinned, slot map for slot map and error for error, to the
+# analyze_slot_with-based loop kept under cfg(test) in
+# crates/sched/src/allocation.rs; every greedy incumbent, restart and slot-map
+# sweep rests on that equivalence, so its parity proptest must stay collected.
+step "greedy reference-equivalence proptest is collected (cps-sched)"
+if ! cargo test -q -p cps-sched -- --list \
+        | grep "allocation::reference::tests::greedy_matches_reference_on_random_fleets: test" \
+        > /dev/null; then
+    echo "ERROR: the cps-sched greedy reference-equivalence proptest was skipped or is empty" >&2
+    exit 1
+fi
+
 # The pruned dwell-model fit is pinned bit for bit to the exhaustive fit
 # kept under cfg(test) in crates/core/src/characterize/reference.rs; every
 # Table-I row the designer derives rests on that equivalence, so its parity

@@ -13,13 +13,15 @@
 //! greedy strategy to the optimum, so the exact proof closes in strictly
 //! fewer nodes than the plain sequential solver needs — the scaling story
 //! the portfolio exists for, asserted on every run and printed next to the
-//! timings.
+//! timings. `portfolio_construction_24` and `greedy_first_fit_24` time the
+//! construction side on the same fleet: the portfolio's constructor (greedy
+//! seed plus restarts, one thread) and one first-fit packing.
 
 use cps_bench::{synthetic_fleet, synthetic_fleet_tight};
 use cps_sched::case_study_fixtures::paper_table1;
 use cps_sched::{
-    allocation_sweep, AllocatorConfig, AppTimingParams, OptimalAllocator, PortfolioAllocator,
-    PortfolioConfig,
+    allocate_slots, allocation_sweep, AllocationStrategy, AllocatorConfig, AppTimingParams,
+    OptimalAllocator, PortfolioAllocator, PortfolioConfig,
 };
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Instant;
@@ -95,6 +97,14 @@ fn bench(c: &mut Criterion) {
         "tight fleet n=24 seed=9015: sequential optimum {seq_slots} slots, \
          {seq_nodes} nodes in {seq_elapsed:?}"
     );
+    // Construction rungs on the same fleet: the portfolio's constructor
+    // (greedy seed plus the 8 first-fit restarts, one thread) and a single
+    // first-fit packing, the call each restart makes.
+    let first_fit = AllocatorConfig { strategy: AllocationStrategy::FirstFit, ..sized };
+    group.bench_function("portfolio_construction_24", |b| {
+        b.iter(|| PortfolioAllocator::new(&fleet, &sized, &PortfolioConfig::with_threads(1)))
+    });
+    group.bench_function("greedy_first_fit_24", |b| b.iter(|| allocate_slots(&fleet, &first_fit)));
     for threads in [1usize, 2, 4] {
         let schedule = PortfolioConfig::with_threads(threads);
         let mut solver = PortfolioAllocator::new(&fleet, &sized, &schedule).expect("solver");

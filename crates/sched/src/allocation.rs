@@ -6,12 +6,25 @@
 //! priority order and keep adding them to the most recently opened slot; as
 //! soon as an addition breaks the schedulability of *any* application already
 //! in that slot, open a new slot and place the application there.
+//!
+//! Each candidate slot is judged in place (the application pushed, judged,
+//! popped) by the allocation-free verdict the exact search uses,
+//! `schedulability::slot_status`; best-fit folds its slack from the same
+//! streaming `member_response`. Verdicts, slot maps and errors are those of
+//! the allocating [`crate::analyze_slot_with`] analysis, bit for bit: the
+//! packing loop built on that analysis is kept under `cfg(test)` as
+//! `reference`, and a proptest pins the two together. A warm
+//! [`allocate_slots`] call allocates only its priority order and its output.
 
 use crate::app::{priority_order, AppTimingParams};
 use crate::dwell::ModelKind;
 use crate::error::{Result, SchedError};
-use crate::schedulability::{analyze_slot_with, is_slot_schedulable_with, WaitTimeMethod};
+use crate::schedulability::{
+    is_slot_schedulable_with, member_response, slot_status, MemberResponse, SlotStatus,
+    WaitTimeMethod,
+};
 use crate::timing::SlotTiming;
+use crate::wait_time::MAX_FIXED_POINT_ITERATIONS;
 
 /// Which greedy packing strategy to use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -224,13 +237,7 @@ pub(crate) fn dedicated_slot_precheck(
     order: &[usize],
 ) -> Result<()> {
     for &app_index in order {
-        if !is_slot_schedulable_with(
-            apps,
-            &[app_index],
-            config.model,
-            config.method,
-            config.slot_timing,
-        )? {
+        if !fits(apps, &[app_index], config)? {
             return Err(SchedError::InvalidParameter {
                 reason: format!(
                     "application {} cannot meet its deadline even with a dedicated TT slot",
@@ -246,6 +253,9 @@ pub(crate) fn dedicated_slot_precheck(
 /// priority order whose applications passed [`dedicated_slot_precheck`].
 /// Produces exactly the allocation of [`allocate_slots`].
 ///
+/// The loop allocates only its output: the outer `Vec` once, and each slot
+/// once, sized for every application still to be placed.
+///
 /// # Errors
 ///
 /// [`SchedError::InsufficientSlots`] if more than `config.max_slots` slots
@@ -255,74 +265,66 @@ pub(crate) fn allocate_slots_prechecked(
     config: &AllocatorConfig,
     order: &[usize],
 ) -> Result<SlotAllocation> {
-    let mut slots: Vec<Vec<usize>> = Vec::new();
-    for &app_index in order {
-        let last_slot = slots.len().checked_sub(1);
-        let placed_slot = match config.strategy {
+    let mut slots: Vec<Vec<usize>> = Vec::with_capacity(config.max_slots.min(order.len()));
+    for (position, &app_index) in order.iter().enumerate() {
+        let placed = match config.strategy {
             AllocationStrategy::NextFit => {
-                try_slots(apps, &mut slots, app_index, config, last_slot)?
+                // Only the most recently opened slot (none before the first).
+                let last = slots.len().saturating_sub(1);
+                first_fit(apps, &mut slots[last..], app_index, config)?
             }
-            AllocationStrategy::FirstFit => try_slots(apps, &mut slots, app_index, config, None)?,
+            AllocationStrategy::FirstFit => first_fit(apps, &mut slots, app_index, config)?,
             AllocationStrategy::BestFit => best_fit(apps, &mut slots, app_index, config)?,
         };
-        if placed_slot.is_none() {
+        if !placed {
             if slots.len() >= config.max_slots {
                 return Err(SchedError::InsufficientSlots {
                     available: config.max_slots,
                     application: apps[app_index].name.clone(),
                 });
             }
-            slots.push(vec![app_index]);
+            let mut slot = Vec::with_capacity(order.len() - position);
+            slot.push(app_index);
+            slots.push(slot);
         }
     }
     Ok(SlotAllocation { slots, model: config.model, method: config.method })
 }
 
-/// Tries to place the application into existing slots. With `only` set, only
-/// that slot index is tried (next-fit); otherwise all slots are tried in
-/// creation order (first-fit). Returns the slot index used, if any.
-fn try_slots(
+/// Places the application into the first of `slots` (in creation order) that
+/// stays schedulable with it added; next-fit passes only the last slot.
+/// Returns whether it was placed.
+fn first_fit(
     apps: &[AppTimingParams],
     slots: &mut [Vec<usize>],
     app_index: usize,
     config: &AllocatorConfig,
-    only: Option<usize>,
-) -> Result<Option<usize>> {
-    let candidates: Vec<usize> = match only {
-        Some(slot_index) => vec![slot_index],
-        None => (0..slots.len()).collect(),
-    };
-    for slot_index in candidates {
-        let slot = &mut slots[slot_index];
+) -> Result<bool> {
+    for slot in slots {
         slot.push(app_index);
-        if is_slot_schedulable_with(apps, slot, config.model, config.method, config.slot_timing)? {
-            return Ok(Some(slot_index));
+        if fits(apps, slot, config)? {
+            return Ok(true);
         }
         slot.pop();
     }
-    Ok(None)
+    Ok(false)
 }
 
 /// Best-fit placement: among the slots that remain schedulable with the
-/// application added, pick the one whose minimum slack is smallest.
+/// application added, pick the one whose minimum slack is smallest (the
+/// first such slot on ties).
 fn best_fit(
     apps: &[AppTimingParams],
     slots: &mut [Vec<usize>],
     app_index: usize,
     config: &AllocatorConfig,
-) -> Result<Option<usize>> {
+) -> Result<bool> {
     let mut best: Option<(usize, f64)> = None;
-    for slot_index in 0..slots.len() {
-        let mut candidate = slots[slot_index].clone();
-        candidate.push(app_index);
-        let analysis =
-            analyze_slot_with(apps, &candidate, config.model, config.method, config.slot_timing)?;
-        if analysis.is_schedulable() {
-            let min_slack = analysis
-                .analyses
-                .iter()
-                .map(|a| a.slack())
-                .fold(f64::INFINITY, f64::min);
+    for (slot_index, slot) in slots.iter_mut().enumerate() {
+        slot.push(app_index);
+        let verdict = min_slack(apps, slot, config);
+        slot.pop();
+        if let Some(min_slack) = verdict? {
             if best.map_or(true, |(_, slack)| min_slack < slack) {
                 best = Some((slot_index, min_slack));
             }
@@ -330,9 +332,396 @@ fn best_fit(
     }
     if let Some((slot_index, _)) = best {
         slots[slot_index].push(app_index);
-        return Ok(Some(slot_index));
+        return Ok(true);
     }
-    Ok(None)
+    Ok(false)
+}
+
+/// [`is_slot_schedulable_with`] on the allocation-free [`slot_status`],
+/// errors included.
+///
+/// `Feasible` and `Infeasible` mean every member got a finite response,
+/// which is exactly when the allocating analysis answers `Ok`. `Dead` may
+/// stop at the first hopeless member, while the allocating analysis goes on
+/// and fails on any member whose exact fixed point diverges, so under
+/// [`WaitTimeMethod::ExactFixedPoint`] a dead slot is scanned for that
+/// error (the closed-form bound cannot diverge).
+fn fits(apps: &[AppTimingParams], slot: &[usize], config: &AllocatorConfig) -> Result<bool> {
+    let (model, method, timing) = (config.model, config.method, config.slot_timing);
+    match slot_status(apps, slot, model, method, timing) {
+        SlotStatus::Feasible => Ok(true),
+        SlotStatus::Infeasible => Ok(false),
+        SlotStatus::Dead => {
+            if method == WaitTimeMethod::ExactFixedPoint {
+                for &index in slot {
+                    let response = member_response(apps, slot, index, model, method, timing);
+                    if matches!(response, MemberResponse::Diverged) {
+                        return Err(diverged(&apps[index]));
+                    }
+                }
+            }
+            Ok(false)
+        }
+    }
+}
+
+/// The smallest `deadline − response` over the slot's members if every
+/// member meets its deadline, `None` otherwise: the verdict and slack fold
+/// of [`crate::analyze_slot_with`], in its member order, without building
+/// the analysis. A diverged exact fixed point is the analysis' error
+/// wherever it occurs, so only the closed-form bound stops at the first
+/// miss.
+fn min_slack(
+    apps: &[AppTimingParams],
+    slot: &[usize],
+    config: &AllocatorConfig,
+) -> Result<Option<f64>> {
+    let (model, method, timing) = (config.model, config.method, config.slot_timing);
+    let mut min_slack = f64::INFINITY;
+    let mut schedulable = true;
+    for &index in slot {
+        match member_response(apps, slot, index, model, method, timing) {
+            MemberResponse::Diverged => return Err(diverged(&apps[index])),
+            MemberResponse::Overloaded => schedulable = false,
+            MemberResponse::Finite { response, .. } => {
+                let deadline = apps[index].deadline;
+                schedulable &= response <= deadline;
+                min_slack = f64::min(min_slack, deadline - response);
+            }
+        }
+        if !schedulable && method == WaitTimeMethod::ClosedFormBound {
+            return Ok(None);
+        }
+    }
+    Ok(schedulable.then_some(min_slack))
+}
+
+/// The error [`crate::analyze_slot_with`] reports when the exact fixed
+/// point of `app`'s wait time does not converge.
+fn diverged(app: &AppTimingParams) -> SchedError {
+    SchedError::FixedPointDiverged {
+        application: app.name.clone(),
+        iterations: MAX_FIXED_POINT_ITERATIONS,
+    }
+}
+
+/// The packing loop on the allocating analysis: every candidate slot is a
+/// fresh `Vec` checked by building the full [`crate::analyze_slot_with`]
+/// result. It is the oracle the production loop is pinned to, slot maps and
+/// errors alike.
+#[cfg(test)]
+mod reference {
+    use super::{AllocationStrategy, AllocatorConfig, SlotAllocation};
+    use crate::app::{priority_order, AppTimingParams};
+    use crate::error::{Result, SchedError};
+    use crate::schedulability::{analyze_slot_with, is_slot_schedulable_with};
+
+    pub(super) fn allocate_slots(
+        apps: &[AppTimingParams],
+        config: &AllocatorConfig,
+    ) -> Result<SlotAllocation> {
+        if apps.is_empty() {
+            return Err(SchedError::InvalidParameter {
+                reason: "cannot allocate an empty application set".to_string(),
+            });
+        }
+        if config.max_slots == 0 {
+            return Err(SchedError::InvalidParameter {
+                reason: "max_slots must be at least one".to_string(),
+            });
+        }
+        let order = priority_order(apps);
+        for &app_index in &order {
+            if !is_slot_schedulable_with(
+                apps,
+                &[app_index],
+                config.model,
+                config.method,
+                config.slot_timing,
+            )? {
+                return Err(SchedError::InvalidParameter {
+                    reason: format!(
+                        "application {} cannot meet its deadline even with a dedicated TT slot",
+                        apps[app_index].name
+                    ),
+                });
+            }
+        }
+        let mut slots: Vec<Vec<usize>> = Vec::new();
+        for &app_index in &order {
+            let last_slot = slots.len().checked_sub(1);
+            let placed_slot = match config.strategy {
+                AllocationStrategy::NextFit => {
+                    try_slots(apps, &mut slots, app_index, config, last_slot)?
+                }
+                AllocationStrategy::FirstFit => {
+                    try_slots(apps, &mut slots, app_index, config, None)?
+                }
+                AllocationStrategy::BestFit => best_fit(apps, &mut slots, app_index, config)?,
+            };
+            if placed_slot.is_none() {
+                if slots.len() >= config.max_slots {
+                    return Err(SchedError::InsufficientSlots {
+                        available: config.max_slots,
+                        application: apps[app_index].name.clone(),
+                    });
+                }
+                slots.push(vec![app_index]);
+            }
+        }
+        Ok(SlotAllocation {
+            slots,
+            model: config.model,
+            method: config.method,
+        })
+    }
+
+    fn try_slots(
+        apps: &[AppTimingParams],
+        slots: &mut [Vec<usize>],
+        app_index: usize,
+        config: &AllocatorConfig,
+        only: Option<usize>,
+    ) -> Result<Option<usize>> {
+        let candidates: Vec<usize> = match only {
+            Some(slot_index) => vec![slot_index],
+            None => (0..slots.len()).collect(),
+        };
+        for slot_index in candidates {
+            let slot = &mut slots[slot_index];
+            slot.push(app_index);
+            if is_slot_schedulable_with(
+                apps,
+                slot,
+                config.model,
+                config.method,
+                config.slot_timing,
+            )? {
+                return Ok(Some(slot_index));
+            }
+            slot.pop();
+        }
+        Ok(None)
+    }
+
+    fn best_fit(
+        apps: &[AppTimingParams],
+        slots: &mut [Vec<usize>],
+        app_index: usize,
+        config: &AllocatorConfig,
+    ) -> Result<Option<usize>> {
+        let mut best: Option<(usize, f64)> = None;
+        for slot_index in 0..slots.len() {
+            let mut candidate = slots[slot_index].clone();
+            candidate.push(app_index);
+            let analysis = analyze_slot_with(
+                apps,
+                &candidate,
+                config.model,
+                config.method,
+                config.slot_timing,
+            )?;
+            if analysis.is_schedulable() {
+                let min_slack = analysis
+                    .analyses
+                    .iter()
+                    .map(|a| a.slack())
+                    .fold(f64::INFINITY, f64::min);
+                if best.map_or(true, |(_, slack)| min_slack < slack) {
+                    best = Some((slot_index, min_slack));
+                }
+            }
+        }
+        if let Some((slot_index, _)) = best {
+            slots[slot_index].push(app_index);
+            return Ok(Some(slot_index));
+        }
+        Ok(None)
+    }
+
+    mod tests {
+        use crate::allocation::{allocate_slots, AllocationStrategy, AllocatorConfig};
+        use crate::app::AppTimingParams;
+        use crate::case_study_fixtures::paper_table1;
+        use crate::dwell::ModelKind;
+        use crate::error::SchedError;
+        use crate::schedulability::WaitTimeMethod;
+        use crate::timing::SlotTiming;
+        use crate::wait_time::MAX_FIXED_POINT_ITERATIONS;
+        use proptest::prelude::*;
+
+        const STRATEGIES: [AllocationStrategy; 3] = [
+            AllocationStrategy::NextFit,
+            AllocationStrategy::FirstFit,
+            AllocationStrategy::BestFit,
+        ];
+        const MODELS: [ModelKind; 3] = [
+            ModelKind::NonMonotonic,
+            ModelKind::ConservativeMonotonic,
+            ModelKind::SimpleMonotonic,
+        ];
+        const METHODS: [WaitTimeMethod; 2] = [
+            WaitTimeMethod::ClosedFormBound,
+            WaitTimeMethod::ExactFixedPoint,
+        ];
+
+        /// Asserts that the production loop and the oracle return the same
+        /// `Result` — slot maps, or error variants with their fields — for
+        /// every strategy, dwell model and wait-time method.
+        fn assert_parity(apps: &[AppTimingParams], max_slots: usize, timing: SlotTiming) {
+            for strategy in STRATEGIES {
+                for model in MODELS {
+                    for method in METHODS {
+                        let config = AllocatorConfig {
+                            model,
+                            method,
+                            strategy,
+                            max_slots,
+                            slot_timing: timing,
+                        };
+                        assert_eq!(
+                            allocate_slots(apps, &config),
+                            super::allocate_slots(apps, &config),
+                            "{strategy}/{model}/{method:?}, max_slots {max_slots}, {timing:?}"
+                        );
+                    }
+                }
+            }
+        }
+
+        /// The LCG fleet family of the committed portfolio fixture
+        /// (`tests/allocation_portfolio.rs`, 18 apps, seed 9005, names `R*`)
+        /// and of the `allocation_opt` bench's tight fleet (24 apps, seed
+        /// 9015, names `T*`).
+        fn lcg_fleet(n: usize, seed: u64, prefix: &str) -> Vec<AppTimingParams> {
+            let mut state = seed.max(1);
+            let mut next = move || {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                ((state >> 33) as f64) / (u32::MAX as f64)
+            };
+            (0..n)
+                .map(|i| {
+                    let xi_tt = 0.2 + next() * 1.5;
+                    let xi_et = xi_tt * (2.0 + next() * 4.0);
+                    let xi_m = xi_tt * (1.0 + next() * 1.2);
+                    let k_p = xi_et * (0.05 + next() * 0.4);
+                    let deadline = xi_m + k_p + 0.2 + next() * 3.0;
+                    let inter_arrival = deadline + 2.0 + next() * 100.0;
+                    AppTimingParams::new(
+                        format!("{prefix}{i}"),
+                        inter_arrival,
+                        deadline,
+                        xi_tt,
+                        xi_et,
+                        xi_m,
+                        k_p,
+                    )
+                    .unwrap()
+                })
+                .collect()
+        }
+
+        #[test]
+        fn committed_fleets_match_reference() {
+            let fleets = [
+                paper_table1(),
+                lcg_fleet(18, 9005, "R"),
+                lcg_fleet(24, 9015, "T"),
+            ];
+            for apps in &fleets {
+                for max_slots in [1, 2, 3, 5, 8, apps.len()] {
+                    for overhead in [0.0, 0.05, 0.3] {
+                        assert_parity(apps, max_slots, SlotTiming::new(overhead).unwrap());
+                    }
+                }
+            }
+        }
+
+        /// A diverged exact fixed point is every strategy's error, also when
+        /// an earlier member of the candidate slot is already dead: the
+        /// verdict stops at that member, the analysis goes on to the
+        /// diverging one.
+        #[test]
+        fn diverged_fixed_point_is_the_strategy_error() {
+            // H alone nearly saturates a slot (ξᴹ/r = 1/1.00001). Once B
+            // joins H and L, H misses its deadline for good (dead), and with
+            // B's 2 s blocking L's wait needs ~2·10⁵ fixed-point steps.
+            let apps = vec![
+                AppTimingParams::new("H", 1.00001, 1.0, 0.1, 10.0, 1.0, 0.5).unwrap(),
+                AppTimingParams::new("L", 200.0, 8.0, 0.05, 10.0, 0.1, 0.05).unwrap(),
+                AppTimingParams::new("B", 200.0, 9.0, 0.1, 10.0, 2.0, 0.5).unwrap(),
+            ];
+            let expected = Err(SchedError::FixedPointDiverged {
+                application: "L".to_string(),
+                iterations: MAX_FIXED_POINT_ITERATIONS,
+            });
+            for strategy in STRATEGIES {
+                let config = AllocatorConfig {
+                    method: WaitTimeMethod::ExactFixedPoint,
+                    strategy,
+                    ..AllocatorConfig::default()
+                };
+                assert_eq!(allocate_slots(&apps, &config), expected, "{strategy}");
+                assert_eq!(
+                    super::allocate_slots(&apps, &config),
+                    expected,
+                    "{strategy}"
+                );
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(128))]
+
+            /// Random Table-I-like fleets. Some applications come twice
+            /// (identical timing, another name), so candidate slots tie on
+            /// their minimum slack and best-fit's tie-break is exercised;
+            /// some miss their deadline even alone, so the dedicated-slot
+            /// error path is too. Caps from one slot up force
+            /// `InsufficientSlots`.
+            #[test]
+            fn greedy_matches_reference_on_random_fleets(
+                rows in proptest::collection::vec(
+                    (
+                        (0.2f64..1.7, 2.0f64..6.0, 1.0f64..2.2, 0.05f64..0.45),
+                        (0.0f64..1.2, -0.1f64..3.0, 0.5f64..100.0, 0usize..4),
+                    ),
+                    1..13,
+                ),
+                cap in 0usize..4,
+                overhead in 0.0f64..0.4,
+                overhead_choice in 0usize..3,
+            ) {
+                let mut apps = Vec::new();
+                for ((xi_tt, et, m, p), (spread, offset, gap, copies)) in rows {
+                    let xi_et = xi_tt * et;
+                    let xi_m = xi_tt * m;
+                    let k_p = xi_et * p;
+                    let deadline = xi_tt + (xi_m + k_p - xi_tt) * spread + offset;
+                    let row = apps.len();
+                    // One row in four is a pair of identical applications.
+                    for copy in 0..(1 + usize::from(copies == 0)) {
+                        let name = format!("A{row}.{copy}");
+                        apps.push(
+                            AppTimingParams::new(name, deadline + gap, deadline, xi_tt, xi_et, xi_m, k_p)
+                                .unwrap(),
+                        );
+                    }
+                }
+                let max_slots = match cap {
+                    0 => 1,
+                    1 => 2,
+                    2 => apps.len().div_ceil(2),
+                    _ => apps.len(),
+                };
+                // Zero overhead one case in three, the design baseline.
+                let timing = SlotTiming::new(if overhead_choice == 0 { 0.0 } else { overhead }).unwrap();
+                assert_parity(&apps, max_slots, timing);
+            }
+        }
+    }
 }
 
 #[cfg(test)]

@@ -19,10 +19,12 @@
 //! [`SlotStatus::Dead`]: some member is overloaded (`m ≥ 1`), or its
 //! response floor under the **monotone over-approximation of the dwell
 //! curve** — the non-increasing under-envelope
-//! `ξ̲(w) = min_{t ≥ w} ξ(t)` of [`min_future_response`] — already misses
-//! its deadline. Deadness is closed under supersets (waits only grow as a
-//! slot fills, and the envelope is monotone in the wait), so **no feasible
-//! allocation may ever co-locate two conflicting applications**: judging
+//! `ξ̲(w) = min_{t ≥ w} ξ(t)` of
+//! [`min_future_response`](crate::schedulability::min_future_response) —
+//! already misses its deadline. Deadness is closed under supersets (waits
+//! only grow as a slot fills, and the envelope is monotone in the wait), so
+//! **no feasible allocation may ever co-locate two conflicting
+//! applications**: judging
 //! the pair against the envelope over-approximates everything any future
 //! slot mate could repair, which is what makes the verdict sound for every
 //! completion. Mutually-conflicting applications therefore occupy pairwise
@@ -49,10 +51,10 @@
 
 use crate::app::AppTimingParams;
 use crate::dwell::ModelKind;
-use crate::schedulability::WaitTimeMethod;
+use crate::schedulability::{slot_status, SlotStatus, WaitTimeMethod};
 use crate::timing::SlotTiming;
 
-use super::search::{slot_status, Problem, SearchState, SlotStatus};
+use super::search::{Problem, SearchState};
 
 /// Largest fleet for which conflict rows fit one machine word pair.
 const CLIQUE_MAX_APPS: usize = 128;
@@ -179,7 +181,7 @@ mod tests {
     use super::*;
     use crate::allocation::AllocatorConfig;
     use crate::case_study_fixtures::paper_table1;
-    use crate::optimal::search::min_future_response;
+    use crate::schedulability::min_future_response;
 
     /// A dead pair must be dead in every superset sampled: the soundness
     /// fact the conflict definition rests on (waits grow, envelope is

@@ -333,8 +333,8 @@ pub fn allocate_slots_optimal(
 
 #[cfg(test)]
 mod tests {
-    use super::search::{member_response, min_future_response, MemberResponse};
     use super::*;
+    use crate::schedulability::{member_response, min_future_response, MemberResponse};
     use crate::allocation::allocate_slots;
     use crate::case_study_fixtures::paper_table1;
     use crate::dwell::{dwell_for, ModelKind};

@@ -51,9 +51,10 @@ use crate::allocation::{AllocationStrategy, AllocatorConfig, SlotAllocation};
 use crate::app::AppTimingParams;
 use crate::cancel::CancelToken;
 use crate::error::{Result, SchedError};
+use crate::schedulability::SlotStatus;
 
 use super::bounds;
-use super::search::{dfs, seed_greedy, Driver, Flow, Problem, SearchState, SlotStatus};
+use super::search::{dfs, seed_greedy, Driver, Flow, Problem, SearchState};
 
 /// Tuning knobs of the [`PortfolioAllocator`]. The defaults are the
 /// configuration every production caller uses; tests pin worker counts.

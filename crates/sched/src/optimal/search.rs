@@ -19,28 +19,22 @@
 //! restricted-growth order with the same deadness test and the same valid
 //! lower bounds, so "first feasible leaf with the optimal count in DFS
 //! order" means the same leaf everywhere.
+//!
+//! A node judges its changed slot with the allocation-free verdict
+//! [`crate::schedulability::slot_status`] (its `SlotStatus`, the streaming
+//! `member_response` and the deadness floor `min_future_response` live
+//! there too). The greedy packing that seeds the incumbent and the
+//! conflict bound of [`super::bounds`] use the same verdict, so every
+//! allocator judges a slot with one engine.
 
 use crate::allocation::{AllocationStrategy, AllocatorConfig};
 use crate::app::{priority_order, AppTimingParams};
-use crate::dwell::{dwell_for, max_dwell_for, ModelKind};
+use crate::dwell::{max_dwell_for, ModelKind};
 use crate::error::{Result, SchedError};
-use crate::schedulability::WaitTimeMethod;
+use crate::schedulability::{slot_status, SlotStatus, WaitTimeMethod};
 use crate::timing::SlotTiming;
-use crate::wait_time::MAX_FIXED_POINT_ITERATIONS;
 
 use super::bounds::CliqueBounds;
-
-/// Verdict of the allocation-free per-slot analysis at a search node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum SlotStatus {
-    /// Every member currently meets its deadline.
-    Feasible,
-    /// Some member misses its deadline, but a future addition could still
-    /// repair it (the dwell curve is non-monotonic).
-    Infeasible,
-    /// Provably unschedulable for every superset of the current members.
-    Dead,
-}
 
 /// Immutable description of one exact-allocation instance.
 #[derive(Debug)]
@@ -299,159 +293,6 @@ pub(crate) fn dfs<D: Driver>(
     Flow::Done
 }
 
-/// Allocation-free analysis of a candidate slot: mirrors
-/// [`crate::analyze_slot`] member for member (identical accumulation order,
-/// so the verdict is bit-for-bit the one `SlotAllocation::verify` computes),
-/// and additionally detects dead slots.
-pub(crate) fn slot_status(
-    apps: &[AppTimingParams],
-    members: &[usize],
-    model: ModelKind,
-    method: WaitTimeMethod,
-    timing: SlotTiming,
-) -> SlotStatus {
-    let mut feasible = true;
-    for &index in members {
-        match member_response(apps, members, index, model, method, timing) {
-            MemberResponse::Overloaded => return SlotStatus::Dead,
-            MemberResponse::Diverged => return SlotStatus::Dead,
-            MemberResponse::Finite { wait, response } => {
-                let app = &apps[index];
-                if response > app.deadline {
-                    feasible = false;
-                    // Dead only if no future wait can repair the member:
-                    // waits only grow, and the response floor over [wait, ∞)
-                    // is attained at a segment endpoint.
-                    if min_future_response(app, model, wait) > app.deadline {
-                        return SlotStatus::Dead;
-                    }
-                }
-            }
-        }
-    }
-    if feasible {
-        SlotStatus::Feasible
-    } else {
-        SlotStatus::Infeasible
-    }
-}
-
-/// Outcome of the streaming per-member analysis.
-pub(crate) enum MemberResponse {
-    /// Higher-priority utilisation `m ≥ 1`: unbounded wait, permanently
-    /// unschedulable (matches the infinite response `analyze_slot` reports).
-    Overloaded,
-    /// The exact fixed-point iteration did not converge (cannot happen for
-    /// `m < 1`; treated as unschedulable, matching the defensive bound).
-    Diverged,
-    /// Finite maximum wait time and worst-case response.
-    Finite { wait: f64, response: f64 },
-}
-
-/// Streaming replica of [`crate::analyze_application`] for one member of a
-/// candidate slot: same formulas, same accumulation order over the slot
-/// members, no heap allocation. Keeping the float operation order identical
-/// makes the verdicts bit-compatible with the `InterferenceContext` path.
-pub(crate) fn member_response(
-    apps: &[AppTimingParams],
-    slot: &[usize],
-    index: usize,
-    kind: ModelKind,
-    method: WaitTimeMethod,
-    timing: SlotTiming,
-) -> MemberResponse {
-    let subject = &apps[index];
-    // One pass in slot order mirrors `InterferenceContext::for_application`:
-    // `higher_priority` entries are visited in the same order (with the same
-    // per-slot overhead applied to each dwell bound), so the utilisation and
-    // interference sums round identically.
-    let mut blocking: f64 = 0.0;
-    let mut utilization: f64 = 0.0;
-    let mut interference_sum: f64 = 0.0;
-    for &other_index in slot {
-        if other_index == index {
-            continue;
-        }
-        let other = &apps[other_index];
-        let dwell_bound = timing.effective_dwell(max_dwell_for(other, kind));
-        if other.outranks(subject) {
-            utilization += dwell_bound / other.inter_arrival;
-            interference_sum += dwell_bound;
-        } else {
-            blocking = blocking.max(dwell_bound);
-        }
-    }
-    if utilization >= 1.0 {
-        return MemberResponse::Overloaded;
-    }
-    let wait = match method {
-        WaitTimeMethod::ClosedFormBound => {
-            let a_prime = blocking + interference_sum;
-            a_prime / (1.0 - utilization)
-        }
-        WaitTimeMethod::ExactFixedPoint => {
-            // The monotone iteration of Eq. (5), started (like the reference
-            // implementation) from one pending request per higher-priority
-            // application on top of the blocking term.
-            let mut wait = blocking + interference_sum;
-            let mut converged = None;
-            for _ in 0..MAX_FIXED_POINT_ITERATIONS {
-                // `request_function`: blocking + Σ ⌈w/rⱼ⌉·ξᴹⱼ, higher-priority
-                // terms summed in slot order.
-                let mut interference = 0.0;
-                for &other_index in slot {
-                    if other_index == index {
-                        continue;
-                    }
-                    let other = &apps[other_index];
-                    if other.outranks(subject) {
-                        let dwell_bound = timing.effective_dwell(max_dwell_for(other, kind));
-                        interference += (wait / other.inter_arrival).ceil().max(0.0) * dwell_bound;
-                    }
-                }
-                let next = blocking + interference;
-                if (next - wait).abs() < 1e-12 {
-                    converged = Some(next);
-                    break;
-                }
-                wait = next;
-            }
-            match converged {
-                Some(wait) => wait,
-                None => return MemberResponse::Diverged,
-            }
-        }
-    };
-    let dwell = dwell_for(subject, kind, wait);
-    let response = if wait >= subject.xi_et { subject.xi_et } else { wait + dwell };
-    MemberResponse::Finite { wait, response }
-}
-
-/// Floor of the worst-case response over every wait `t ≥ wait`:
-/// `min_{t ≥ wait} ξ(t)` with `ξ(t) = t + k_dw(t)` for `t < ξᴱᵀ` and
-/// `ξ(t) = ξᴱᵀ` beyond. All three analytical dwell models are piecewise
-/// linear with breakpoints at most `{k_p, ξᴱᵀ}`, so the minimum over the
-/// tail is attained at `wait` itself, at a breakpoint to its right, or at
-/// the ξᴱᵀ cap. This is the monotone (non-increasing in no argument,
-/// non-decreasing in `wait`) under-envelope of the response curve: the
-/// deadness test and the pairwise-conflict bound both judge slots against
-/// it, which is exactly the "sound monotone over-approximation" of the
-/// dwell curve's repair potential.
-pub(crate) fn min_future_response(app: &AppTimingParams, kind: ModelKind, wait: f64) -> f64 {
-    let response_at = |t: f64| {
-        if t >= app.xi_et {
-            app.xi_et
-        } else {
-            t + dwell_for(app, kind, t)
-        }
-    };
-    let mut floor = response_at(wait).min(app.xi_et);
-    if app.k_p > wait {
-        floor = floor.min(response_at(app.k_p));
-    }
-    floor
-}
-
 /// Runs the three greedy strategies under the problem's model/method and
 /// stores the best feasible allocation in `seed_slots`, returning its slot
 /// count (`usize::MAX` when no greedy strategy succeeds).
@@ -460,6 +301,9 @@ pub(crate) fn min_future_response(app: &AppTimingParams, kind: ModelKind, wait: 
 /// shared across all three strategies
 /// ([`crate::allocation::dedicated_slot_precheck`]), so seeding pays the
 /// per-application characterisation work once instead of once per strategy.
+/// The strategies judge their candidate slots with the search's own
+/// allocation-free verdict ([`slot_status`]), so the seed costs no heap
+/// traffic beyond the allocations it returns.
 pub(crate) fn seed_greedy(problem: &Problem<'_>, seed_slots: &mut [Vec<usize>]) -> usize {
     let base = problem.config_with(AllocationStrategy::NextFit);
     if crate::allocation::dedicated_slot_precheck(problem.apps, &base, &problem.order).is_err() {

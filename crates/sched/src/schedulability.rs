@@ -1,10 +1,17 @@
 //! Worst-case response times and per-slot schedulability (Section IV).
+//!
+//! Two forms of one analysis: the allocating [`analyze_slot_with`] family,
+//! which reports per-application results, and the allocation-free verdict
+//! `slot_status` (with `member_response` and `min_future_response`) that
+//! the greedy packing, the exact search and its bounds judge slots with.
 
 use crate::app::AppTimingParams;
-use crate::dwell::{dwell_for, ModelKind};
+use crate::dwell::{dwell_for, max_dwell_for, ModelKind};
 use crate::error::{Result, SchedError};
 use crate::timing::SlotTiming;
-use crate::wait_time::{max_wait_time_bound_with, max_wait_time_fixed_point_with};
+use crate::wait_time::{
+    max_wait_time_bound_with, max_wait_time_fixed_point_with, MAX_FIXED_POINT_ITERATIONS,
+};
 
 /// How the maximum wait time is computed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -213,6 +220,190 @@ pub fn is_slot_schedulable_with(
     timing: SlotTiming,
 ) -> Result<bool> {
     Ok(analyze_slot_with(apps, slot, kind, method, timing)?.is_schedulable())
+}
+
+// ---------------------------------------------------------------------------
+// Allocation-free slot verdict
+// ---------------------------------------------------------------------------
+//
+// The greedy packing, the exact search and its bounds judge candidate slots
+// on every step, so they use this streaming copy of the analysis above: same
+// formulas and float operation order, but no `Vec<ResponseTimeAnalysis>` and
+// no cloned names.
+
+/// Verdict of the allocation-free per-slot analysis ([`slot_status`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum SlotStatus {
+    /// Every member currently meets its deadline.
+    Feasible,
+    /// Some member misses its deadline, but a future addition could still
+    /// repair it (the dwell curve is non-monotonic).
+    Infeasible,
+    /// Provably unschedulable for every superset of the current members.
+    Dead,
+}
+
+/// Allocation-free analysis of a candidate slot: mirrors
+/// [`analyze_slot_with`] member for member (identical accumulation order,
+/// so the verdict is bit-for-bit the one `SlotAllocation::verify` computes),
+/// and additionally detects dead slots. It stops at the first dead member,
+/// and a diverged fixed point counts as dead; the greedy packing, which
+/// must report that divergence as the analysis does, re-checks a dead slot
+/// for it (`allocation::fits`).
+pub(crate) fn slot_status(
+    apps: &[AppTimingParams],
+    members: &[usize],
+    model: ModelKind,
+    method: WaitTimeMethod,
+    timing: SlotTiming,
+) -> SlotStatus {
+    let mut feasible = true;
+    for &index in members {
+        match member_response(apps, members, index, model, method, timing) {
+            MemberResponse::Overloaded => return SlotStatus::Dead,
+            MemberResponse::Diverged => return SlotStatus::Dead,
+            MemberResponse::Finite { wait, response } => {
+                let app = &apps[index];
+                if response > app.deadline {
+                    feasible = false;
+                    // Dead only if no future wait can repair the member:
+                    // waits only grow, and the response floor over [wait, ∞)
+                    // is attained at a segment endpoint.
+                    if min_future_response(app, model, wait) > app.deadline {
+                        return SlotStatus::Dead;
+                    }
+                }
+            }
+        }
+    }
+    if feasible {
+        SlotStatus::Feasible
+    } else {
+        SlotStatus::Infeasible
+    }
+}
+
+/// Outcome of the streaming per-member analysis.
+pub(crate) enum MemberResponse {
+    /// Higher-priority utilisation `m ≥ 1`: unbounded wait, permanently
+    /// unschedulable (matches the infinite response [`analyze_slot_with`]
+    /// reports).
+    Overloaded,
+    /// The exact fixed-point iteration did not converge within
+    /// `MAX_FIXED_POINT_ITERATIONS` (the allocating analysis reports
+    /// [`SchedError::FixedPointDiverged`] here; [`slot_status`] counts the
+    /// slot as dead).
+    Diverged,
+    /// Finite maximum wait time and worst-case response.
+    Finite { wait: f64, response: f64 },
+}
+
+/// Streaming replica of [`analyze_application_with`] for one member of a
+/// candidate slot: same formulas, same accumulation order over the slot
+/// members, no heap allocation. Keeping the float operation order identical
+/// makes the verdicts bit-compatible with the `InterferenceContext` path.
+pub(crate) fn member_response(
+    apps: &[AppTimingParams],
+    slot: &[usize],
+    index: usize,
+    kind: ModelKind,
+    method: WaitTimeMethod,
+    timing: SlotTiming,
+) -> MemberResponse {
+    let subject = &apps[index];
+    // One pass in slot order mirrors `InterferenceContext::for_application`:
+    // `higher_priority` entries are visited in the same order (with the same
+    // per-slot overhead applied to each dwell bound), so the utilisation and
+    // interference sums round identically.
+    let mut blocking: f64 = 0.0;
+    let mut utilization: f64 = 0.0;
+    let mut interference_sum: f64 = 0.0;
+    for &other_index in slot {
+        if other_index == index {
+            continue;
+        }
+        let other = &apps[other_index];
+        let dwell_bound = timing.effective_dwell(max_dwell_for(other, kind));
+        if other.outranks(subject) {
+            utilization += dwell_bound / other.inter_arrival;
+            interference_sum += dwell_bound;
+        } else {
+            blocking = blocking.max(dwell_bound);
+        }
+    }
+    if utilization >= 1.0 {
+        return MemberResponse::Overloaded;
+    }
+    let wait = match method {
+        WaitTimeMethod::ClosedFormBound => {
+            let a_prime = blocking + interference_sum;
+            a_prime / (1.0 - utilization)
+        }
+        WaitTimeMethod::ExactFixedPoint => {
+            // The monotone iteration of Eq. (5), started (like the reference
+            // implementation) from one pending request per higher-priority
+            // application on top of the blocking term.
+            let mut wait = blocking + interference_sum;
+            let mut converged = None;
+            for _ in 0..MAX_FIXED_POINT_ITERATIONS {
+                // `request_function`: blocking + Σ ⌈w/rⱼ⌉·ξᴹⱼ, higher-priority
+                // terms summed in slot order.
+                let mut interference = 0.0;
+                for &other_index in slot {
+                    if other_index == index {
+                        continue;
+                    }
+                    let other = &apps[other_index];
+                    if other.outranks(subject) {
+                        let dwell_bound = timing.effective_dwell(max_dwell_for(other, kind));
+                        interference += (wait / other.inter_arrival).ceil().max(0.0) * dwell_bound;
+                    }
+                }
+                let next = blocking + interference;
+                if (next - wait).abs() < 1e-12 {
+                    converged = Some(next);
+                    break;
+                }
+                wait = next;
+            }
+            match converged {
+                Some(wait) => wait,
+                None => return MemberResponse::Diverged,
+            }
+        }
+    };
+    let dwell = dwell_for(subject, kind, wait);
+    let response = if wait >= subject.xi_et {
+        subject.xi_et
+    } else {
+        wait + dwell
+    };
+    MemberResponse::Finite { wait, response }
+}
+
+/// Floor of the worst-case response over every wait `t ≥ wait`:
+/// `min_{t ≥ wait} ξ(t)` with `ξ(t) = t + k_dw(t)` for `t < ξᴱᵀ` and
+/// `ξ(t) = ξᴱᵀ` beyond. All three analytical dwell models are piecewise
+/// linear with breakpoints at most `{k_p, ξᴱᵀ}`, so the minimum over the
+/// tail is attained at `wait` itself, at a breakpoint to its right, or at
+/// the ξᴱᵀ cap. This is the monotone (non-increasing in no argument,
+/// non-decreasing in `wait`) under-envelope of the response curve: the
+/// deadness test and the pairwise-conflict bound both judge slots against
+/// it, which is exactly the "sound monotone over-approximation" of the
+/// dwell curve's repair potential.
+pub(crate) fn min_future_response(app: &AppTimingParams, kind: ModelKind, wait: f64) -> f64 {
+    let response_at = |t: f64| {
+        if t >= app.xi_et {
+            app.xi_et
+        } else {
+            t + dwell_for(app, kind, t)
+        }
+    };
+    let mut floor = response_at(wait).min(app.xi_et);
+    if app.k_p > wait {
+        floor = floor.min(response_at(app.k_p));
+    }
+    floor
 }
 
 #[cfg(test)]

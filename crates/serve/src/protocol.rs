@@ -1305,11 +1305,17 @@ mod tests {
         let mut extended = bytes.clone();
         extended.push(0);
         assert!(Request::decode(&extended).is_err());
-        // A corrupt collection length cannot force a huge allocation.
+        // A corrupt collection length cannot force a huge allocation: the
+        // header is id 8 + deadline 4 + budget 8 + flag 1 = 21 bytes, byte 21
+        // the job tag, and bytes 22..26 the spec count, which `len` refuses
+        // against the bytes left before anything is allocated.
+        assert_eq!(bytes[21], 0, "design job tag");
         let mut corrupt = bytes;
-        corrupt[21] = 0xff; // inside the spec-count field
-        corrupt[22] = 0xff;
-        assert!(Request::decode(&corrupt).is_err());
+        corrupt[22..26].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert_eq!(
+            Request::decode(&corrupt).unwrap_err(),
+            WireError::Invalid { what: "collection length" }
+        );
     }
 
     #[test]

@@ -978,12 +978,16 @@ proptest! {
         flipped[pos] ^= flip_mask as u8;
         let _ = automotive_cps::serve::Request::decode(&flipped);
         let _ = automotive_cps::serve::Response::decode(&flipped);
-        // Oversized collection counts must be rejected before allocating.
+        // Oversized collection counts must be rejected before allocating:
+        // bytes 22..26 hold the spec count (after the 21-byte header and the
+        // job tag), and every count above the bytes left is refused.
         let mut huge = bytes;
-        huge[21] = 0xff;
-        huge[22] = 0xff;
-        huge[23] = 0xff;
-        prop_assert!(automotive_cps::serve::Request::decode(&huge).is_err());
+        let count = (0x00ff_ffff | (flip_mask << 24)) as u32;
+        huge[22..26].copy_from_slice(&count.to_le_bytes());
+        prop_assert_eq!(
+            automotive_cps::serve::Request::decode(&huge).unwrap_err(),
+            automotive_cps::serve::WireError::Invalid { what: "collection length" }
+        );
     }
 }
 

@@ -19,6 +19,10 @@
 //!   drains the frontier inline, so the counted thread *is* the worker):
 //!   frontier generation, the count search with live shared-incumbent
 //!   updates, and the deterministic reconstruction pass;
+//! * the greedy packing of `allocate_slots` — every strategy judges its
+//!   candidate slots with the streaming verdict, so a call allocates its
+//!   priority order and its output `SlotAllocation` (the outer `Vec` plus
+//!   one per slot) and nothing per candidate check;
 //! * the fleet designer's steady-state solvers — the in-place DARE and
 //!   matrix exponential on pooled workspaces;
 //! * the streaming campaign's per-scenario loop on a warm `CoSimulation` —
@@ -47,8 +51,8 @@ use automotive_cps::linalg::{
     expm_into, solve_dare_in_place, DareOptions, ExpmWorkspace, Matrix, RiccatiWorkspace,
 };
 use automotive_cps::sched::{
-    AllocatorConfig, CancelToken, ModelKind, OptimalAllocator, PortfolioAllocator,
-    PortfolioConfig, WaitTimeMethod,
+    allocate_slots, priority_order, AllocationStrategy, AllocatorConfig, CancelToken, ModelKind,
+    OptimalAllocator, PortfolioAllocator, PortfolioConfig, WaitTimeMethod,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -396,6 +400,47 @@ fn kernel_and_runtime_hot_paths_do_not_allocate() {
              200 solves ({label} fleet)",
             after - before
         );
+    }
+
+    // Greedy packing: every candidate slot is judged by the streaming
+    // verdict (`slot_status`, and `member_response` for best-fit's slack),
+    // on the candidate pushed in place. A call therefore allocates its
+    // priority order and its output — the outer `Vec` once, each slot once —
+    // and nothing per candidate check: its count equals that of sorting the
+    // order and cloning the result, whatever the strategy and however many
+    // candidates it judged. Both fleets, both wait-time methods.
+    for (fleet, label) in [(&table, "paper"), (&trap_fleet, "trap")] {
+        for strategy in
+            [AllocationStrategy::NextFit, AllocationStrategy::FirstFit, AllocationStrategy::BestFit]
+        {
+            for method in [WaitTimeMethod::ClosedFormBound, WaitTimeMethod::ExactFixedPoint] {
+                let config = AllocatorConfig {
+                    strategy,
+                    method,
+                    max_slots: fleet.len(),
+                    ..AllocatorConfig::default()
+                };
+                let warm = allocate_slots(fleet, &config).expect("fleet is schedulable");
+                for _ in 0..20 {
+                    let before = ALLOCATIONS.load(Ordering::SeqCst);
+                    let allocation = allocate_slots(fleet, &config).expect("fleet is schedulable");
+                    let packing = ALLOCATIONS.load(Ordering::SeqCst) - before;
+
+                    let before = ALLOCATIONS.load(Ordering::SeqCst);
+                    let _order = priority_order(fleet);
+                    let _copy = allocation.clone();
+                    let output = ALLOCATIONS.load(Ordering::SeqCst) - before;
+
+                    assert_eq!(allocation, warm, "greedy packing must be deterministic");
+                    assert_eq!(
+                        packing, output,
+                        "{strategy}/{method:?} on the {label} fleet allocated {packing} times \
+                         for a {}-slot result (order plus output: {output})",
+                        allocation.slot_count()
+                    );
+                }
+            }
+        }
     }
 
     // Fleet-designer steady-state loop: the two solvers every controller
