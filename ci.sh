@@ -189,11 +189,22 @@ if ! grep "random_stable_pairs_match_reference: test" > /dev/null <<<"$parity_te
 fi
 
 step "campaign/fault suite is collected (tests/robustness_campaign.rs, tests/zero_alloc.rs)"
-if ! cargo test -q -p automotive-cps --test robustness_campaign -- --list \
-        | grep ": test" > /dev/null; then
+campaign_tests="$(cargo test -q -p automotive-cps --test robustness_campaign -- --list)"
+if ! grep ": test" > /dev/null <<<"$campaign_tests"; then
     echo "ERROR: the robustness_campaign suite was skipped or is empty" >&2
     exit 1
 fi
+# The campaign folds each window of pool results in scenario order; these
+# parity tests are what pin CampaignStats bit for bit across worker counts,
+# chunk sizes and window boundaries, so they are gated by name.
+for name in campaign_stats_are_bit_identical_across_worker_counts \
+        stormy_campaign_stats_are_bit_identical_across_worker_counts \
+        multi_window_campaign_stats_are_bit_identical_across_geometries; do
+    if ! grep "^$name: test" > /dev/null <<<"$campaign_tests"; then
+        echo "ERROR: robustness_campaign lost $name" >&2
+        exit 1
+    fi
+done
 if ! cargo test -q -p automotive-cps --test zero_alloc -- --list \
         | grep ": test" > /dev/null; then
     echo "ERROR: the zero_alloc suite was skipped or is empty" >&2

@@ -6,8 +6,8 @@
 //! active fault model (frame drops, Gilbert–Elliott bursts, payload
 //! corruption, dynamic-segment contention) plus sensor-noise degradation,
 //! measured through the allocation-free `run_metrics_into` hot path. The
-//! campaign streams scenarios through its bounded channel, so memory stays
-//! O(workers) at any scenario count. The 2-vCPU container reports an
+//! campaign folds its scenarios window by window, so memory stays
+//! O(workers · chunk) at any scenario count. The 2-vCPU container reports an
 //! available parallelism of 2, so worker counts above 2 only demonstrate
 //! determinism there. The `faulty24_workers` rungs are
 //! the campaign rung of the perf history; `nominal24_workers/1` prices the

@@ -46,11 +46,13 @@
 //!    allocator via [`cps_sched::SlotTiming`].
 //! 9. [`RobustnessCampaign`] — streaming Monte-Carlo robustness campaigns:
 //!    a [`ScenarioSource`] generates scenarios on demand from
-//!    `(campaign seed, index)`, worker threads replay them on faulty buses
+//!    `(campaign seed, index)`, the designer's and the batch's
+//!    work-claiming pool replays them on faulty buses
 //!    ([`cps_flexray::FaultModel`]) and degraded runtimes
-//!    ([`DegradationConfig`]), and results fold into O(workers)-memory
-//!    per-family aggregates ([`OnlineStats`], [`P2Quantile`]) with a
-//!    Clopper–Pearson statistical model-checking readout
+//!    ([`DegradationConfig`]) one window of chunks at a time, and each
+//!    window folds in order into O(workers)-memory per-family aggregates
+//!    ([`OnlineStats`], [`P2Quantile`]) with a Clopper–Pearson statistical
+//!    model-checking readout
 //!    ([`CampaignStats::settling_probabilities`]) — bit-identical for any
 //!    worker count.
 //! 10. [`experiments`] — one entry point per table/figure, used by the

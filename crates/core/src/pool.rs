@@ -2,8 +2,10 @@
 //! independent items, each claimed by one worker at a time.
 //!
 //! The fleet designer (one claimed item per application: synthesis, then
-//! characterisation) and the scenario batch (one claimed item per scenario)
-//! both run on [`map_claimed`]. The calling thread is always a worker, so a
+//! characterisation), the scenario batch (one claimed item per scenario) and
+//! the robustness campaign (one claimed item per chunk of scenarios, one
+//! call per window of chunks that it folds in order before the next) all
+//! run on [`map_claimed`]. The calling thread is always a worker, so a
 //! one-worker run spawns nothing, and a shared cursor hands out items one
 //! at a time, so items of uneven cost balance across workers. Results are
 //! stored by input index and errors are resolved by input index, so what a

@@ -226,12 +226,6 @@ pub struct BusConfigSweep {
     /// value). Fill from frame payload sizes with
     /// [`BusConfigSweep::with_payloads`].
     pub slot_lengths: Vec<f64>,
-    /// Worker threads for each candidate's exact branch-and-bound solve.
-    /// `1` (the default) keeps the retained sequential solver; any other
-    /// value routes through [`cps_sched::allocate_slots_portfolio`]
-    /// (`0` = machine parallelism). Every setting yields bit-identical
-    /// scenarios — the portfolio's determinism invariant.
-    pub allocator_threads: usize,
 }
 
 impl BusConfigSweep {
@@ -242,7 +236,6 @@ impl BusConfigSweep {
             cycle_lengths: Vec::new(),
             static_slot_counts: Vec::new(),
             slot_lengths: Vec::new(),
-            allocator_threads: 1,
         }
     }
 
@@ -265,15 +258,6 @@ impl BusConfigSweep {
     #[must_use]
     pub fn with_slot_lengths(mut self, slot_lengths: Vec<f64>) -> Self {
         self.slot_lengths = slot_lengths;
-        self
-    }
-
-    /// Sets the worker-thread count of each candidate's exact solve
-    /// (`1` = sequential solver, `0` = machine parallelism). The expansion
-    /// is bit-identical for any setting.
-    #[must_use]
-    pub fn with_allocator_threads(mut self, allocator_threads: usize) -> Self {
-        self.allocator_threads = allocator_threads;
         self
     }
 
@@ -382,16 +366,7 @@ impl BusConfigSweep {
                 ..*allocator
             };
             let mut maps = cps_sched::allocation_sweep(table, &budgeted.sweep_matrix());
-            let optimal = if self.allocator_threads == 1 {
-                cps_sched::allocate_slots_optimal(table, &budgeted)
-            } else {
-                cps_sched::allocate_slots_portfolio(
-                    table,
-                    &budgeted,
-                    &cps_sched::PortfolioConfig::with_threads(self.allocator_threads),
-                )
-            };
-            if let Ok(optimal) = optimal {
+            if let Ok(optimal) = cps_sched::allocate_slots_optimal(table, &budgeted) {
                 if !maps.iter().any(|existing| existing.slots == optimal.slots) {
                     maps.push(optimal);
                 }

@@ -10,8 +10,8 @@
 //! `cargo test --release --test robustness_campaign -- --ignored`.
 
 use automotive_cps::core::{
-    case_study, clopper_pearson, CoSimulation, DegradationConfig, DesignedFleet, P2Quantile,
-    RobustnessCampaign, RobustnessSweep, RunMetrics,
+    case_study, clopper_pearson, CampaignScenario, CoSimulation, DegradationConfig, DesignedFleet,
+    P2Quantile, RobustnessCampaign, RobustnessSweep, RunMetrics, ScenarioSource,
 };
 use automotive_cps::flexray::{FaultModel, FlexRayConfig, GilbertElliott};
 use automotive_cps::sched::AllocatorConfig;
@@ -106,6 +106,105 @@ fn stormy_campaign_stats_are_bit_identical_across_worker_counts() {
             .run(&sweep)
             .expect("multi-worker campaign");
         assert_eq!(stats, baseline, "worker count {workers} changed the stormy campaign result");
+    }
+}
+
+/// A campaign of 60 scenarios crosses window boundaries (8 chunks per
+/// worker each): at chunk size 1 it spans 8 windows on one worker and 4 on
+/// two. Every worker count and chunk size folds into the same stats as one
+/// worker running one chunk per window.
+#[test]
+fn multi_window_campaign_stats_are_bit_identical_across_geometries() {
+    let sweep = RobustnessSweep { scenarios_per_intensity: 20, ..stress_sweep() };
+    let baseline = RobustnessCampaign::new(fleet(), 0x5EED)
+        .with_workers(1)
+        .with_chunk_size(64)
+        .run(&sweep)
+        .expect("single-chunk campaign");
+    assert_eq!(baseline.total, 60);
+    for workers in 1..=4 {
+        for chunk_size in [1, 3, 64] {
+            let stats = RobustnessCampaign::new(fleet(), 0x5EED)
+                .with_workers(workers)
+                .with_chunk_size(chunk_size)
+                .run(&sweep)
+                .expect("windowed campaign");
+            assert_eq!(stats, baseline, "workers={workers} chunk_size={chunk_size}");
+        }
+    }
+}
+
+/// With one scenario per chunk and a snapshot requested after every
+/// scenario, each chunk but the last yields exactly one snapshot, also
+/// across window boundaries, and the streamed run returns what `run` does.
+#[test]
+fn progress_snapshots_arrive_once_per_chunk_across_windows() {
+    let sweep = RobustnessSweep { scenarios_per_intensity: 20, ..stress_sweep() };
+    for workers in [1, 2] {
+        let campaign =
+            RobustnessCampaign::new(fleet(), 0x5EED).with_workers(workers).with_chunk_size(1);
+        let mut totals = Vec::new();
+        let streamed = campaign
+            .run_with_progress(&sweep, 1, |snapshot| {
+                totals.push(snapshot.total);
+                true
+            })
+            .expect("streamed campaign");
+        assert_eq!(totals.len() as u64, sweep.total() - 1, "workers={workers}");
+        assert!(totals.windows(2).all(|pair| pair[0] < pair[1]), "workers={workers}: {totals:?}");
+        assert_eq!(streamed, campaign.run(&sweep).expect("plain campaign"), "workers={workers}");
+    }
+}
+
+/// A source with an out-of-range family at one index and a negative
+/// duration at another. The earlier bad scenario is generated slowly, so
+/// with several workers the later one fails first in time.
+struct TwoFaults {
+    bad_family_at: u64,
+    bad_duration_at: u64,
+}
+
+impl ScenarioSource for TwoFaults {
+    fn total(&self) -> u64 {
+        12
+    }
+    fn families(&self) -> usize {
+        1
+    }
+    fn family_label(&self, _family: usize) -> String {
+        "two faults".to_string()
+    }
+    fn generate(&self, index: u64, _seed: u64, scenario: &mut CampaignScenario) {
+        if index == self.bad_family_at.min(self.bad_duration_at) {
+            std::thread::sleep(std::time::Duration::from_millis(20));
+        }
+        scenario.family = if index == self.bad_family_at { 1 } else { 0 };
+        scenario.disturbance_scale = 1.0;
+        scenario.threshold_scale = 1.0;
+        scenario.duration = if index == self.bad_duration_at { -1.0 } else { 0.05 };
+    }
+}
+
+#[test]
+fn the_first_error_in_scenario_order_wins_for_every_geometry() {
+    // Indices 4 and 9 fall in different chunks at chunk sizes 1 and 3
+    // (and in different windows for one worker at chunk size 1).
+    let cases = [
+        (TwoFaults { bad_family_at: 4, bad_duration_at: 9 }, "family 1 out of range"),
+        (TwoFaults { bad_family_at: 9, bad_duration_at: 4 }, "duration must be"),
+    ];
+    for (source, expected) in &cases {
+        for workers in 1..=4 {
+            for chunk_size in [1, 3, 64] {
+                let err = RobustnessCampaign::new(fleet(), 3)
+                    .with_workers(workers)
+                    .with_chunk_size(chunk_size)
+                    .run(source)
+                    .unwrap_err()
+                    .to_string();
+                assert!(err.contains(expected), "workers={workers} chunk_size={chunk_size}: {err}");
+            }
+        }
     }
 }
 
@@ -277,9 +376,9 @@ proptest! {
     }
 }
 
-/// Acceptance check: a 10^6-scenario campaign streams through the bounded
-/// channel and O(workers) aggregation without materialising per-scenario
-/// results. Two periods per scenario keep the runtime tractable; the point
+/// Acceptance check: a 10^6-scenario campaign streams window by window
+/// through the shared worker pool and O(workers) aggregation without
+/// materialising per-scenario results. Two periods per scenario keep the runtime tractable; the point
 /// is the scenario *count*.
 #[test]
 #[ignore = "long-running acceptance check (~minutes); run with -- --ignored"]
