@@ -285,15 +285,16 @@ fi
 # deterministic chaos replay); same reasoning, same gate. The scenario matrix
 # is transport-parameterised (every scenario once over Unix, once over TCP)
 # and includes the streaming campaign suite — verify each axis is still
-# collected by name, so a refactor can't silently drop a whole transport or
-# the streaming coverage.
+# collected by name, so a refactor can't silently drop a whole transport, the
+# streaming coverage or the handler-side cache-hit routing.
 step "service suite is collected (tests/design_service.rs: unix + tcp + streaming)"
 service_tests="$(cargo test -q -p automotive-cps --test design_service -- --list)"
 if ! grep ": test" > /dev/null <<<"$service_tests"; then
     echo "ERROR: the design_service suite was skipped or is empty" >&2
     exit 1
 fi
-for axis in "_unix: test" "_tcp: test" "streamed_terminal_frame" "dropping_the_stream" "invalid_problem"; do
+for axis in "_unix: test" "_tcp: test" "streamed_terminal_frame" "dropping_the_stream" "invalid_problem" \
+    "cache_hits_are_answered_while_every_worker_is_busy" "worker_faulted_hits_still_run_on_the_worker"; do
     if ! grep -- "$axis" > /dev/null <<<"$service_tests"; then
         echo "ERROR: design_service lost its '$axis' coverage axis" >&2
         exit 1

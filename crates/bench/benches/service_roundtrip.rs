@@ -1,11 +1,12 @@
 //! Service round-trip latency: what one design request costs through the
-//! full serving stack (frame encode → socket → worker → cache hit → frame
-//! decode), and what the client's connection pool buys over the old
-//! one-connection-per-attempt behaviour, on both transports.
+//! full serving stack (frame encode → socket → connection handler → cache
+//! hit → frame decode), and what the client's connection pool buys over the
+//! old one-connection-per-attempt behaviour, on both transports.
 //!
 //! The measured request is always an artifact-cache *hit* — the first
 //! request primes the cache — so the benchmark isolates transport and
-//! protocol cost from design compute. `reuse` keeps one pooled persistent
+//! protocol cost from design compute. The connection handler answers a hit
+//! itself, so no worker thread takes part in the measured path. `reuse` keeps one pooled persistent
 //! connection across iterations; `fresh` forces a connect/handshake per
 //! request (the pre-pool client), making the pair a direct reuse-vs-fresh
 //! comparison.

@@ -24,6 +24,10 @@
 //! `catch_unwind` and completes with an error on panic, so a panicking
 //! design can neither poison the cache nor strand its joiners.
 //!
+//! [`ArtifactCache::lookup`] is the read-only peek beside it: the same hit
+//! rule, but a miss begins no flight. The server answers cached design
+//! requests with it on the connection handler.
+//!
 //! *Degradation hygiene*: a degraded (uncertified) artifact never
 //! overwrites a certified one, and a request with `require_certified`
 //! treats an uncertified entry as a miss — load-induced degradation cannot
@@ -79,6 +83,26 @@ struct CacheState {
     in_flight: HashMap<u64, Vec<InFlight>>,
 }
 
+impl CacheState {
+    /// The one hit rule: same hash, same job bytes, and certified when
+    /// `require_certified` is set. A hit refreshes the entry's LRU tick.
+    fn hit(
+        &mut self,
+        key: u64,
+        job: &[u8],
+        require_certified: bool,
+    ) -> Option<Arc<DesignArtifact>> {
+        self.tick += 1;
+        let tick = self.tick;
+        let entry = self.entries.get_mut(&key)?.iter_mut().find(|entry| entry.job == job)?;
+        if require_certified && !entry.artifact.certified_optimal {
+            return None;
+        }
+        entry.last_used = tick;
+        Some(Arc::clone(&entry.artifact))
+    }
+}
+
 /// Bounded LRU of design artifacts with single-flight deduplication and
 /// full-key (canonical job bytes) verification on every hit.
 pub struct ArtifactCache {
@@ -108,6 +132,19 @@ impl ArtifactCache {
         self.state.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 
+    /// Peeks the cache for the job (addressed by `key`, identified by its
+    /// canonical bytes `job`): the artifact on a hit, which counts as a use
+    /// for the LRU; `None` on a miss, which begins no computation. The hit
+    /// rule is [`ArtifactCache::lookup_or_begin`]'s.
+    pub fn lookup(
+        &self,
+        key: u64,
+        job: &[u8],
+        require_certified: bool,
+    ) -> Option<Arc<DesignArtifact>> {
+        self.lock().hit(key, job, require_certified)
+    }
+
     /// Looks up the job (addressed by `key`, identified by its canonical
     /// bytes `job`), joining or leading the computation on a miss. A hash
     /// hit whose stored bytes differ from `job` is a *miss* — never a
@@ -117,15 +154,8 @@ impl ArtifactCache {
     /// miss (the caller recomputes at full fidelity).
     pub fn lookup_or_begin(&self, key: u64, job: &[u8], require_certified: bool) -> CacheOutcome {
         let mut state = self.lock();
-        state.tick += 1;
-        let tick = state.tick;
-        if let Some(bucket) = state.entries.get_mut(&key) {
-            if let Some(entry) = bucket.iter_mut().find(|entry| entry.job == job) {
-                if entry.artifact.certified_optimal || !require_certified {
-                    entry.last_used = tick;
-                    return CacheOutcome::Hit(Arc::clone(&entry.artifact));
-                }
-            }
+        if let Some(artifact) = state.hit(key, job, require_certified) {
+            return CacheOutcome::Hit(artifact);
         }
         let bucket = state.in_flight.entry(key).or_default();
         if let Some(flight) = bucket.iter_mut().find(|flight| flight.job == job) {
@@ -342,6 +372,56 @@ mod tests {
         assert!(matches!(cache.lookup_or_begin(1, &[1], false), CacheOutcome::Hit(_)));
         assert!(matches!(cache.lookup_or_begin(2, &[2], false), CacheOutcome::Lead));
         cache.complete(2, &[2], Ok(artifact(true)));
+    }
+
+    #[test]
+    fn a_peek_miss_begins_no_flight() {
+        let cache = ArtifactCache::new(4);
+        assert!(cache.lookup(3, b"job", false).is_none());
+        // The peek left nothing in flight: the next lookup still leads
+        // instead of joining a computation nobody runs.
+        assert!(matches!(cache.lookup_or_begin(3, b"job", false), CacheOutcome::Lead));
+        let built = artifact(true);
+        cache.complete(3, b"job", Ok(Arc::clone(&built)));
+        let peeked = cache.lookup(3, b"job", false).expect("a completed job is a peek hit");
+        assert!(Arc::ptr_eq(&peeked, &built));
+    }
+
+    #[test]
+    fn a_colliding_peek_is_a_miss() {
+        let cache = ArtifactCache::new(4);
+        assert!(matches!(cache.lookup_or_begin(11, b"job-a", false), CacheOutcome::Lead));
+        cache.complete(11, b"job-a", Ok(artifact(true)));
+        assert!(cache.lookup(11, b"job-b", false).is_none(), "same key, other bytes");
+        assert!(cache.lookup(11, b"job-a", false).is_some());
+    }
+
+    #[test]
+    fn a_peek_misses_an_uncertified_entry_only_when_certification_is_required() {
+        let cache = ArtifactCache::new(4);
+        assert!(matches!(cache.lookup_or_begin(8, b"eight", false), CacheOutcome::Lead));
+        let degraded = artifact(false);
+        cache.complete(8, b"eight", Ok(Arc::clone(&degraded)));
+        assert!(cache.lookup(8, b"eight", true).is_none());
+        let peeked = cache.lookup(8, b"eight", false).expect("uncertified is a plain hit");
+        assert!(Arc::ptr_eq(&peeked, &degraded));
+    }
+
+    #[test]
+    fn a_peek_hit_refreshes_the_lru() {
+        let cache = ArtifactCache::new(2);
+        for key in [1, 2] {
+            let job = [key as u8];
+            assert!(matches!(cache.lookup_or_begin(key, &job, false), CacheOutcome::Lead));
+            cache.complete(key, &job, Ok(artifact(true)));
+        }
+        // Peeking key 1 makes key 2 the coldest entry, so it is evicted.
+        assert!(cache.lookup(1, &[1], false).is_some());
+        assert!(matches!(cache.lookup_or_begin(3, &[3], false), CacheOutcome::Lead));
+        cache.complete(3, &[3], Ok(artifact(true)));
+        assert_eq!(cache.len(), 2);
+        assert!(cache.lookup(1, &[1], false).is_some(), "the peeked entry survives");
+        assert!(cache.lookup(2, &[2], false).is_none(), "the cold entry is evicted");
     }
 
     #[test]

@@ -17,11 +17,12 @@
 //!   a 64-bit hash collision is a miss, never a shared artifact.
 //! - [`DesignServer`] / [`ServerHandle`] — transport-generic accept loops
 //!   (Unix + TCP over one worker pool) with capped accept-error backoff
-//!   and handler-registry quiescent shutdown; `std::thread` worker pool,
-//!   bounded job queue with [`Outcome::Busy`] load shedding, deadline
-//!   watchdog driving cooperative [`cps_sched::CancelToken`] cancellation
-//!   through the allocator / designer / campaign kernels, and
-//!   `catch_unwind` panic isolation.
+//!   and handler-registry quiescent shutdown; design cache hits answered
+//!   on the connection handler; `std::thread` worker pool for the work
+//!   that computes, bounded job queue with [`Outcome::Busy`] load
+//!   shedding, deadline watchdog driving cooperative
+//!   [`cps_sched::CancelToken`] cancellation through the allocator /
+//!   designer / campaign kernels, and `catch_unwind` panic isolation.
 //! - [`DesignClient`] / [`RetryPolicy`] — pooled persistent connections
 //!   with poisoned-connection eviction, exponential backoff with
 //!   deterministic [`cps_flexray::SimRng`] jitter, and a streaming

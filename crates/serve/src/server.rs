@@ -27,6 +27,14 @@
 //!    single-flight joiners are never stranded and no partial artifact is
 //!    cached.
 //!
+//! Layers 1 and 3 govern the *queued computations*. A design request whose
+//! artifact is already cached computes nothing, so its connection handler
+//! answers it from the artifact cache, without queueing it or waking a
+//! worker: such a hit is never shed as `Busy`, never waits behind a
+//! computation and cannot expire. A hit whose chaos plan schedules a
+//! worker-side fault (panic or stall) is still queued, so the fault
+//! schedule holds.
+//!
 //! Both transports share one accept path: `accept_loop` and
 //! `handle_connection` are generic over the stream (`Read + Write`), so the
 //! Unix and TCP listeners differ only in how a connection is produced. The
@@ -88,6 +96,9 @@ pub struct ServerConfig {
     /// Worker threads executing jobs.
     pub workers: usize,
     /// Bounded job-queue depth; a full queue sheds with [`Outcome::Busy`].
+    /// Only requests that compute something are queued: a design request
+    /// served from the artifact cache is answered by its connection handler
+    /// and never occupies (or is shed by) the queue.
     pub queue_depth: usize,
     /// Artifact-cache capacity (design artifacts, LRU).
     pub cache_capacity: usize,
@@ -701,34 +712,42 @@ fn handle_connection<S: Read + Write>(
             .as_ref()
             .map(|chaos| chaos.plan(serial))
             .unwrap_or_default();
-        let stall_ms = shared.config.chaos.as_ref().map_or(0, |chaos| chaos.stall_ms);
 
-        let token = CancelToken::new();
-        let deadline = (request.deadline_ms > 0)
-            .then(|| Duration::from_millis(u64::from(request.deadline_ms)));
-        if let Some(deadline) = deadline {
-            shared.watchdog.arm(Instant::now() + deadline, token.clone());
-        }
+        let outcome = if let Some(hit) = answer_cache_hit(shared, &request, &plan) {
+            hit
+        } else {
+            let stall_ms = shared.config.chaos.as_ref().map_or(0, |chaos| chaos.stall_ms);
+            let token = CancelToken::new();
+            let deadline = (request.deadline_ms > 0)
+                .then(|| Duration::from_millis(u64::from(request.deadline_ms)));
+            if let Some(deadline) = deadline {
+                shared.watchdog.arm(Instant::now() + deadline, token.clone());
+            }
 
-        let (respond_tx, respond_rx) = sync_channel::<Outcome>(RESPOND_DEPTH);
-        let envelope =
-            JobEnvelope { request, plan, stall_ms, token: token.clone(), respond: respond_tx };
-        let outcome = match job_tx.try_send(envelope) {
-            Ok(()) => {
-                match stream_worker_outcomes(shared, &mut stream, id, &respond_rx, deadline, &token)
-                {
+            let (respond_tx, respond_rx) = sync_channel::<Outcome>(RESPOND_DEPTH);
+            let envelope =
+                JobEnvelope { request, plan, stall_ms, token: token.clone(), respond: respond_tx };
+            match job_tx.try_send(envelope) {
+                Ok(()) => match stream_worker_outcomes(
+                    shared,
+                    &mut stream,
+                    id,
+                    &respond_rx,
+                    deadline,
+                    &token,
+                ) {
                     Some(outcome) => outcome,
                     // The peer stopped reading mid-stream; the campaign was
                     // cancelled and the connection is dead.
                     None => return,
+                },
+                Err(TrySendError::Full(_)) => {
+                    shared.stats.shed.fetch_add(1, Ordering::Relaxed);
+                    Outcome::Busy
                 }
-            }
-            Err(TrySendError::Full(_)) => {
-                shared.stats.shed.fetch_add(1, Ordering::Relaxed);
-                Outcome::Busy
-            }
-            Err(TrySendError::Disconnected(_)) => {
-                error_outcome(ErrorKind::Shutdown, "server is shutting down")
+                Err(TrySendError::Disconnected(_)) => {
+                    error_outcome(ErrorKind::Shutdown, "server is shutting down")
+                }
             }
         };
         if matches!(&outcome, Outcome::Error { kind: ErrorKind::DeadlineExceeded, .. }) {
@@ -760,6 +779,26 @@ fn handle_connection<S: Read + Write>(
             return;
         }
     }
+}
+
+/// Answers, on the connection handler itself, a design request whose
+/// artifact is cached: a hit computes nothing, so it skips the queue and
+/// the two thread wake-ups of a worker round trip. Returns `None`, and the
+/// request is queued, for a miss, for a sweep or campaign, and for a plan
+/// with a worker-side fault: those faults are drawn for a worker, so a
+/// worker must run the request for the chaos schedule to hold.
+fn answer_cache_hit(shared: &Shared, request: &Request, plan: &ChaosPlan) -> Option<Outcome> {
+    let Job::Design(design) = &request.job else {
+        return None;
+    };
+    if plan.panic_worker || plan.stall_worker {
+        return None;
+    }
+    let job_bytes = design.canonical_bytes();
+    let artifact =
+        shared.cache.lookup(content_hash(&job_bytes), &job_bytes, request.require_certified)?;
+    shared.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
+    Some(design_outcome(&artifact, true))
 }
 
 /// Relays worker outcomes to the connection: non-terminal

@@ -396,6 +396,137 @@ fn overload_sheds_requests_instead_of_queueing_unboundedly_tcp() {
     overload_scenario("shed-tcp", Transport::Tcp);
 }
 
+fn busy_workers_scenario(name: &str, transport: Transport) {
+    let (direct_slots, direct_table) = reference_design();
+    let mut server = start(name, transport, |config| {
+        config.workers = 1;
+        config.queue_depth = 1;
+        config.grace = Duration::from_millis(100);
+    });
+    let mut client = client(&server, transport);
+    let primed = client.request(nominal_job(), RequestOptions::default()).expect("prime");
+    assert!(matches!(primed, Outcome::Design(_)));
+
+    // Occupy the only worker with a campaign that streams for far longer
+    // than the test runs.
+    let endless = CampaignJob {
+        scenarios_per_intensity: 100_000,
+        duration: 1.0,
+        ..small_campaign(1)
+    };
+    let mut stream = client.stream_campaign(endless, RequestOptions::default()).expect("stream");
+    let first = stream.next().expect("one item").expect("progress frame");
+    assert!(matches!(first, Outcome::Progress(_)), "expected progress, got {first:?}");
+
+    // Fill the single queue slot. The first probe takes it and gives up
+    // after its deadline, but its job stays queued behind the stream; only a
+    // full queue sheds, so a shed probe shows the slot is taken.
+    let probe_request = Request {
+        id: 2,
+        deadline_ms: 100,
+        node_budget: 0,
+        require_certified: false,
+        job: Job::Campaign(small_campaign(0)),
+    }
+    .encode();
+    let mut probe = RawConn::connect(&server, transport);
+    let probing = Instant::now();
+    while !matches!(raw_round_trip(&mut probe, &probe_request).outcome, Outcome::Busy) {
+        assert!(probing.elapsed() < Duration::from_secs(10), "the queue never filled");
+    }
+
+    // A cache hit computes nothing: the handler answers it, bit-identically,
+    // without waiting for a worker and without shedding.
+    let shed = server.stats().shed;
+    let mut hitting = RawConn::connect(&server, transport);
+    let hit_request = Request {
+        id: 3,
+        deadline_ms: 0,
+        node_budget: 0,
+        require_certified: false,
+        job: nominal_job(),
+    };
+    let response = raw_round_trip(&mut hitting, &hit_request.encode());
+    assert_eq!(response.id, 3);
+    let Outcome::Design(hit) = response.outcome else {
+        panic!("a cache hit must be answered while every worker is busy: {:?}", response.outcome)
+    };
+    assert!(hit.from_cache && hit.certified_optimal);
+    assert_slots_match(&hit.slots, &direct_slots);
+    assert_tables_bit_identical(&hit.table, &direct_table);
+    assert_eq!(server.stats().shed, shed, "a cache hit is never shed");
+    drop(stream);
+    server.shutdown();
+}
+
+#[test]
+fn cache_hits_are_answered_while_every_worker_is_busy_unix() {
+    busy_workers_scenario("busy-hit-unix", Transport::Unix);
+}
+
+#[test]
+fn cache_hits_are_answered_while_every_worker_is_busy_tcp() {
+    busy_workers_scenario("busy-hit-tcp", Transport::Tcp);
+}
+
+fn worker_fault_routing_scenario(name: &str, transport: Transport) {
+    // Every request stalls its worker first, the cache hit included: the
+    // chaos schedule is drawn per request, so a hit whose plan names a
+    // worker fault must still run on a worker.
+    let stall = Duration::from_millis(150);
+    let mut server = start(&format!("{name}-stall"), transport, |config| {
+        config.chaos = Some(ChaosConfig {
+            seed: 9,
+            worker_stall_probability: 1.0,
+            stall_ms: stall.as_millis() as u64,
+            ..ChaosConfig::default()
+        });
+    });
+    let mut stalling = client(&server, transport);
+    let primed = stalling.request(nominal_job(), RequestOptions::default()).expect("prime");
+    assert!(matches!(primed, Outcome::Design(_)));
+    let started = Instant::now();
+    let outcome = stalling.request(nominal_job(), RequestOptions::default()).expect("hit");
+    let elapsed = started.elapsed();
+    let Outcome::Design(hit) = outcome else { panic!("expected a design outcome: {outcome:?}") };
+    assert!(hit.from_cache);
+    assert!(elapsed >= stall, "a stalled hit must wait out the stall, took {elapsed:?}");
+    assert_eq!(server.stats().cache_hits, 1);
+    server.shutdown();
+
+    // A seed whose first request (the prime) runs clean and whose second
+    // (the hit) panics its worker.
+    let base = ChaosConfig { worker_panic_probability: 0.5, ..ChaosConfig::default() };
+    let chaos = (0..)
+        .map(|seed| ChaosConfig { seed, ..base.clone() })
+        .find(|chaos| !chaos.plan(0).panic_worker && chaos.plan(1).panic_worker)
+        .expect("some seed panics only the second request");
+    let mut server = start(&format!("{name}-panic"), transport, |config| {
+        config.chaos = Some(chaos);
+    });
+    let mut impatient = client(&server, transport)
+        .with_retry_policy(RetryPolicy { max_attempts: 1, ..RetryPolicy::default() });
+    let primed = impatient.request(nominal_job(), RequestOptions::default()).expect("prime");
+    assert!(matches!(primed, Outcome::Design(_)));
+    let error = impatient
+        .request(nominal_job(), RequestOptions::default())
+        .expect_err("the hit's worker panics");
+    assert!(error.to_string().contains("induced worker panic"), "{error}");
+    let stats = server.stats();
+    assert_eq!((stats.worker_panics, stats.cache_hits), (1, 0));
+    server.shutdown();
+}
+
+#[test]
+fn worker_faulted_hits_still_run_on_the_worker_unix() {
+    worker_fault_routing_scenario("fault-hit-unix", Transport::Unix);
+}
+
+#[test]
+fn worker_faulted_hits_still_run_on_the_worker_tcp() {
+    worker_fault_routing_scenario("fault-hit-tcp", Transport::Tcp);
+}
+
 fn panic_isolation_scenario(name: &str, transport: Transport) {
     let mut server = start(name, transport, |config| {
         config.chaos = Some(ChaosConfig {
