@@ -272,13 +272,18 @@ done
 
 # The scenario-batch suite carries the parallel scenario engine's
 # determinism contract (outcomes independent of the thread count, ragged
-# scenario counts included, as a proptest); same reasoning, same gate.
+# scenario counts included, as a proptest) and pins every scenario kind,
+# overrides and a nominal run after them included, to a fresh engine's
+# traced run; same reasoning, same gate. Both tests are gated by name.
 step "scenario-batch suite is collected (tests/scenario_batch.rs)"
-if ! cargo test -q -p automotive-cps --test scenario_batch -- --list \
-        | grep ": test" > /dev/null; then
-    echo "ERROR: the scenario_batch suite was skipped or is empty" >&2
-    exit 1
-fi
+batch_tests="$(cargo test -q -p automotive-cps --test scenario_batch -- --list)"
+for name in sixty_four_scenarios_are_thread_count_independent \
+        ragged_scenario_counts_match_the_single_thread_run; do
+    if ! grep "^$name: test" > /dev/null <<<"$batch_tests"; then
+        echo "ERROR: scenario_batch lost $name" >&2
+        exit 1
+    fi
+done
 
 # The design-service suite carries every fail-operational guarantee the serve
 # crate makes (bit-identical nominal path, load shedding, panic isolation,

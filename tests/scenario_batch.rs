@@ -1,11 +1,15 @@
 //! Acceptance tests for the parallel scenario engine: at least 64 disturbance
 //! scenarios fan out across worker threads and the results are deterministic
 //! and independent of the thread count, for ragged scenario counts too
-//! (property-based).
+//! (property-based). Each result of the mixed sweep also equals the reduction
+//! of a fresh engine's traced `CoSimulation::run` of that scenario.
 
-use automotive_cps::core::{case_study, DesignedFleet, ScenarioBatch, ScenarioSpec};
+use automotive_cps::control::{settling_index, CommunicationMode};
+use automotive_cps::core::{
+    case_study, CoSimTrace, DesignedFleet, ScenarioBatch, ScenarioOutcome, ScenarioSpec,
+};
 use automotive_cps::flexray::FlexRayConfig;
-use automotive_cps::sched::{allocate_slots, AllocatorConfig};
+use automotive_cps::sched::{allocate_slots, AllocatorConfig, SlotAllocation};
 use proptest::prelude::*;
 use std::sync::{Arc, OnceLock};
 
@@ -22,6 +26,82 @@ fn batch_template() -> &'static ScenarioBatch {
         .expect("derived fleet designs");
         ScenarioBatch::from_fleet(Arc::new(fleet)).expect("batch template")
     })
+}
+
+/// The per-scenario numbers a batch reports: response times, the fleet's
+/// deadline verdict, peak norms, TT periods, and the static and dynamic
+/// transmission counts.
+type Reduction = (Vec<Option<f64>>, bool, Vec<f64>, Vec<u64>, u64, u64);
+
+/// What the batch reported for one scenario.
+fn reported(outcome: &ScenarioOutcome) -> Reduction {
+    (
+        outcome.response_times.clone(),
+        outcome.all_deadlines_met,
+        outcome.peak_norms.clone(),
+        outcome.tt_periods.iter().map(|&n| n as u64).collect(),
+        outcome.static_transmissions,
+        outcome.dynamic_transmissions,
+    )
+}
+
+/// The oracle: a fresh engine over the batch's fleet runs `spec` with the
+/// trace-recording `CoSimulation::run`, and the trace is reduced by hand.
+/// Response times come from `settling_index` over each recorded norm
+/// series, and must match the trace's own.
+fn traced(batch: &ScenarioBatch, spec: &ScenarioSpec) -> Reduction {
+    let fleet = batch.fleet();
+    let mut engine = fleet.engine().expect("fresh engine");
+    if let Some(bus) = spec.bus_config {
+        engine.set_bus_config(bus).expect("bus override");
+    }
+    engine
+        .set_allocation(spec.allocation.as_ref().unwrap_or_else(|| fleet.allocation()))
+        .expect("slot map");
+    engine.set_threshold_scale(spec.threshold_scale).expect("threshold scale");
+    match &spec.disturbances {
+        None => engine.inject_disturbances_scaled(spec.disturbance_scale),
+        Some(vectors) => engine.inject_disturbance_vectors(vectors, spec.disturbance_scale),
+    }
+    .expect("disturbances");
+    let trace: CoSimTrace = engine.run(spec.duration).expect("traced run");
+    let response_times: Vec<Option<f64>> = trace
+        .apps
+        .iter()
+        .zip(fleet.apps())
+        .map(|(app, design)| {
+            let norms: Vec<f64> = app.points.iter().map(|p| p.norm).collect();
+            let threshold = design.spec().threshold * spec.threshold_scale;
+            settling_index(&norms, threshold).map(|k| k as f64 * trace.period)
+        })
+        .collect();
+    for (app, response) in trace.apps.iter().zip(&response_times) {
+        assert_eq!(app.response_time, *response, "{}: {}", spec.label, app.name);
+    }
+    let deadlines_met = trace
+        .apps
+        .iter()
+        .zip(&response_times)
+        .all(|(app, response)| response.is_some_and(|t| t <= app.deadline));
+    (
+        response_times,
+        deadlines_met,
+        trace
+            .apps
+            .iter()
+            .map(|app| app.points.iter().map(|p| p.norm).fold(0.0, f64::max))
+            .collect(),
+        trace
+            .apps
+            .iter()
+            .map(|app| {
+                app.points.iter().filter(|p| p.mode == CommunicationMode::TimeTriggered).count()
+                    as u64
+            })
+            .collect(),
+        trace.bus_statistics.static_transmissions,
+        trace.bus_statistics.dynamic_transmissions,
+    )
 }
 
 #[test]
@@ -53,11 +133,29 @@ fn sixty_four_scenarios_are_thread_count_independent() {
         &AllocatorConfig::default().sweep_matrix(),
     );
     scenarios.extend(ScenarioSpec::slot_map_sweep(sweep_allocations, 2.0));
+    // A bus-configuration override: a 10 ms cycle with ten static slots,
+    // running a slot map that gives every application its own slot.
+    let wide_bus = FlexRayConfig {
+        cycle_length: 0.010,
+        static_slot_count: 10,
+        ..FlexRayConfig::paper_case_study()
+    };
+    let dedicated = SlotAllocation {
+        slots: (0..batch.fleet().app_count()).map(|index| vec![index]).collect(),
+        ..batch.fleet().allocation().clone()
+    };
+    assert!(dedicated.slot_count() <= wide_bus.static_slot_count);
+    scenarios.push(
+        ScenarioSpec::nominal(2.0).with_bus_config(wide_bus).with_allocation(dedicated),
+    );
+    // A nominal scenario after the overrides: an override that leaks into
+    // the next scenario a worker runs shows up here.
+    scenarios.push(ScenarioSpec::nominal(2.0));
     assert!(scenarios.len() >= 64, "got {} scenarios", scenarios.len());
 
     let serial = batch.clone().with_threads(1).run(&scenarios).expect("serial run");
     let four = batch.clone().with_threads(4).run(&scenarios).expect("4-thread run");
-    let seven = batch.with_threads(7).run(&scenarios).expect("7-thread run");
+    let seven = batch.clone().with_threads(7).run(&scenarios).expect("7-thread run");
 
     assert_eq!(serial, four, "4-thread results must match the serial run");
     assert_eq!(serial, seven, "7-thread results must match the serial run");
@@ -67,6 +165,18 @@ fn sixty_four_scenarios_are_thread_count_independent() {
         assert_eq!(outcome.response_times.len(), 6);
         assert_eq!(outcome.peak_norms.len(), 6);
     }
+
+    // Every result is what a fresh engine's traced run of that spec reduces
+    // to.
+    for (index, (outcome, spec)) in serial.iter().zip(&scenarios).enumerate() {
+        assert_eq!(reported(outcome), traced(&batch, spec), "scenario {index} ({})", spec.label);
+    }
+    let last = serial.len() - 1;
+    assert_ne!(
+        reported(&serial[last - 1]).4,
+        reported(&serial[last]).4,
+        "the bus override must change the static transmissions"
+    );
 
     // The sweep must actually explore different dynamics: larger
     // disturbances produce larger peaks.
