@@ -14,8 +14,10 @@
 //! The design-layer split: `derived_fleet_pass` times what fleet design
 //! pays per six-app fleet (certification + sweep + fit per app, one
 //! thread). `certify_six_pairs` times the per-application set-up alone:
-//! `SwitchedKernel::new` on the six closed-loop pairs, i.e. both modes'
-//! tail-bound power iterations and ellipsoid certificates.
+//! `CharacterizationWorkspace::switched_kernel` on the six closed-loop
+//! pairs, each on a fresh workspace, i.e. both modes' tail-bound power
+//! iterations and ellipsoid certificates together with their scratch
+//! allocation.
 //! `fit_non_monotonic` times the pruned model fit alone on the same six
 //! curves. The sweep's share is the pass less the other two. The fit's
 //! exhaustive O(P²) oracle is test-only (`cps-core`'s
@@ -24,7 +26,7 @@
 
 use cps_control::{
     characterize_dwell_vs_wait, characterize_dwell_vs_wait_reference, CharacterizationConfig,
-    SwitchedKernel,
+    CharacterizationWorkspace,
 };
 use cps_core::{
     case_study, characterize_application, experiments, fit_non_monotonic, FleetDesigner,
@@ -108,7 +110,10 @@ fn bench(c: &mut Criterion) {
     group.bench_function("certify_six_pairs", |b| {
         b.iter(|| {
             for &(et, tt, plant_order) in &pairs {
-                black_box(SwitchedKernel::new(et, tt, plant_order).expect("switched kernel"));
+                let mut workspace = CharacterizationWorkspace::new();
+                black_box(
+                    workspace.switched_kernel(et, tt, plant_order).expect("switched kernel"),
+                );
             }
         })
     });

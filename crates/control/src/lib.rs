@@ -109,5 +109,5 @@ pub use switched::{
     characterize_dwell_vs_wait, characterize_dwell_vs_wait_reference,
     characterize_dwell_vs_wait_with, dwell_steps, power_norm_bound, switched_norm_trajectory,
     CharacterizationConfig, CharacterizationWorkspace, DwellWaitCurve, DwellWaitPoint,
-    PooledSwitchedKernel, SaturatedSwitchedModel, SwitchedKernel,
+    SaturatedSwitchedModel, SwitchedKernel,
 };

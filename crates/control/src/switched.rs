@@ -710,32 +710,27 @@ fn sweep<S: SettleSim>(
 /// [`StepKernel`](crate::StepKernel) applied to the dwell/wait
 /// characterisation, with analytically justified early exit.
 ///
-/// Construction validates the matrix pair once and precomputes each mode's
-/// two early-exit tests: the plant-row tail bound (see [`power_norm_bound`]
-/// for the power iteration) and, once per application, the verified
-/// invariant ellipsoid `{z : zᵀPz ≤ c}` of `AᵀPA − P + I = 0` (one
-/// Lyapunov solve per mode). Every subsequent
-/// [`SwitchedKernel::settle_steps`] / [`SwitchedKernel::dwell_steps`] call
-/// is a bare matvec loop — on stack arrays for augmented orders 1–6, on two
-/// pre-allocated state buffers above — that stops as soon as either test
-/// proves the remaining trajectory settled, instead of simulating a fixed
-/// full horizon and scanning backwards. The quadratic form runs only on
-/// samples where the cheaper tail bound fails. Results are identical to the
-/// full-horizon reference path point for point.
+/// Built by [`CharacterizationWorkspace::switched_kernel`], which validates
+/// the matrix pair once and precomputes each mode's two early-exit tests:
+/// the plant-row tail bound (see [`power_norm_bound`] for the power
+/// iteration) and, once per application, the verified invariant ellipsoid
+/// `{z : zᵀPz ≤ c}` of `AᵀPA − P + I = 0` (one Lyapunov solve per mode).
+/// The state buffers and the certified Lyapunov matrices live in the
+/// workspace pool, so on a warm pool construction reuses every simulation
+/// buffer. Every subsequent [`SwitchedKernel::settle_steps`] /
+/// [`SwitchedKernel::dwell_steps`] call is a bare matvec loop — on stack
+/// arrays for augmented orders 1–6, on the two pooled state buffers above —
+/// that allocates nothing and stops as soon as either test proves the
+/// remaining trajectory settled, instead of simulating a fixed full horizon
+/// and scanning backwards. The quadratic form runs only on samples where
+/// the cheaper tail bound fails. Results are identical to the full-horizon
+/// reference path point for point.
 #[derive(Debug)]
-pub struct SwitchedKernel<'m> {
-    a1: &'m Matrix,
-    a2: &'m Matrix,
-    plant_order: usize,
-    /// Exit bounds of `A₁`, for runs that never switch.
-    et: ExitBounds,
-    /// Exit bounds of `A₂`, for the post-switch tail.
-    tt: ExitBounds,
-    /// The certified Lyapunov matrices `P` of `A₁` / `A₂`.
-    et_p: Matrix,
-    tt_p: Matrix,
-    z: Vec<f64>,
-    z_next: Vec<f64>,
+pub struct SwitchedKernel<'a> {
+    modes: LinearModes<'a>,
+    /// State buffers backing the engine above order 6.
+    z: &'a mut [f64],
+    z_next: &'a mut [f64],
 }
 
 /// Checks that `a1`/`a2` form a switched pair over at least `plant_order`
@@ -760,94 +755,6 @@ fn validate_pair(a1: &Matrix, a2: &Matrix, plant_order: usize) -> Result<()> {
         });
     }
     Ok(())
-}
-
-impl<'m> SwitchedKernel<'m> {
-    /// Validates the switched pair and precomputes the early-exit bounds.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ControlError::InvalidModel`] if the matrices have different
-    /// shapes, are not square, or `plant_order` exceeds the state dimension.
-    pub fn new(a1: &'m Matrix, a2: &'m Matrix, plant_order: usize) -> Result<Self> {
-        validate_pair(a1, a2, plant_order)?;
-        let order = a1.cols();
-        let mut lyapunov = LyapunovScratch::new(order);
-        let mut scratch = PowerScratch::new(order);
-        let (et, tt) = lyapunov.certify(a1, a2, plant_order, &mut scratch)?;
-        Ok(SwitchedKernel {
-            a1,
-            a2,
-            plant_order,
-            et,
-            tt,
-            et_p: lyapunov.et,
-            tt_p: lyapunov.tt,
-            z: vec![0.0; order],
-            z_next: vec![0.0; order],
-        })
-    }
-
-    /// Settling index of the switched trajectory (`k_switch` samples under
-    /// `A₁`, then `A₂`): the first sample from which the plant-state norm
-    /// stays at or below `threshold` for good, or `None` if the trajectory
-    /// does not settle within `horizon` samples — exactly the semantics of
-    /// simulating the full horizon and applying
-    /// [`settling_index`](crate::settling_index).
-    ///
-    /// With `record` set, the plant-state norms visited up to the stopping
-    /// point are appended (the buffer is cleared first; its capacity is
-    /// reused).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ControlError::InvalidModel`] if `initial_state` has the
-    /// wrong length or `threshold` is not positive.
-    pub fn settle_steps(
-        &mut self,
-        initial_state: &[f64],
-        threshold: f64,
-        k_switch: usize,
-        horizon: usize,
-        record: Option<&mut Vec<f64>>,
-    ) -> Result<Option<usize>> {
-        self.drive().settle_steps(initial_state, threshold, k_switch, horizon, record)
-    }
-
-    /// Dwell time (in samples) for a single wait time, with early exit —
-    /// the allocation-free equivalent of the free-function [`dwell_steps`].
-    ///
-    /// # Errors
-    ///
-    /// * As [`SwitchedKernel::settle_steps`].
-    /// * [`ControlError::HorizonExceeded`] if the switched trajectory does
-    ///   not settle within `horizon` samples.
-    pub fn dwell_steps(
-        &mut self,
-        initial_state: &[f64],
-        threshold: f64,
-        wait_steps: usize,
-        horizon: usize,
-    ) -> Result<usize> {
-        self.drive().dwell_steps(initial_state, threshold, wait_steps, horizon)
-    }
-
-    /// The settle-loop view over this kernel's own buffers.
-    fn drive(&mut self) -> SwitchedDrive<'_> {
-        SwitchedDrive {
-            modes: LinearModes {
-                a1: self.a1.as_slice(),
-                a2: self.a2.as_slice(),
-                plant_order: self.plant_order,
-                et: self.et,
-                tt: self.tt,
-                et_p: self.et_p.as_slice(),
-                tt_p: self.tt_p.as_slice(),
-            },
-            z: &mut self.z,
-            z_next: &mut self.z_next,
-        }
-    }
 }
 
 /// What the linear settle engine reads but never writes: the switched pair
@@ -952,12 +859,14 @@ impl<Z: StateStore> SettleSim for LinearSim<'_, Z> {
 }
 
 /// Evaluates `$body` with the pattern `$sim` bound to a [`LinearSim`] over
-/// the [`SwitchedDrive`] `$drive`: on `[f64; N]` state for augmented order
-/// `N` in 1–6, on the drive's buffers above. The storage is picked once per
-/// call, so every step of the run is monomorphised.
+/// the `&mut` [`SwitchedKernel`] `$kernel`: on `[f64; N]` state for
+/// augmented order `N` in 1–6, on the kernel's pooled buffers above. The
+/// storage is picked once per call, so every step of the run is
+/// monomorphised, and one engine serves every storage bit for bit.
 macro_rules! with_linear_sim {
-    ($drive:expr, |$sim:pat_param| $body:expr) => {{
-        let SwitchedDrive { modes, z, z_next } = $drive;
+    ($kernel:expr, |$sim:pat_param| $body:expr) => {{
+        let kernel: &mut SwitchedKernel<'_> = $kernel;
+        let (modes, z, z_next) = (kernel.modes, &mut *kernel.z, &mut *kernel.z_next);
         match z.len() {
             1 => with_linear_sim!(@stack 1, modes, $sim, $body),
             2 => with_linear_sim!(@stack 2, modes, $sim, $body),
@@ -977,23 +886,24 @@ macro_rules! with_linear_sim {
     }};
 }
 
-/// The linear switched simulation borrowed either from a
-/// [`SwitchedKernel`]'s own buffers or from the
-/// [`CharacterizationWorkspace`] pool; its calls run the one
-/// [`LinearSim`] engine, so the pooled path is bit-identical by
-/// construction. The buffers back the engine above order 6 only.
-struct SwitchedDrive<'b> {
-    modes: LinearModes<'b>,
-    z: &'b mut [f64],
-    z_next: &'b mut [f64],
-}
-
-impl SwitchedDrive<'_> {
-    /// The one validation + settle implementation behind
-    /// [`SwitchedKernel::settle_steps`] and
-    /// [`PooledSwitchedKernel::settle_steps`].
-    fn settle_steps(
-        self,
+impl SwitchedKernel<'_> {
+    /// Settling index of the switched trajectory (`k_switch` samples under
+    /// `A₁`, then `A₂`): the first sample from which the plant-state norm
+    /// stays at or below `threshold` for good, or `None` if the trajectory
+    /// does not settle within `horizon` samples — exactly the semantics of
+    /// simulating the full horizon and applying
+    /// [`settling_index`](crate::settling_index).
+    ///
+    /// With `record` set, the plant-state norms visited up to the stopping
+    /// point are appended (the buffer is cleared first; its capacity is
+    /// reused).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ControlError::InvalidModel`] if `initial_state` has the
+    /// wrong length or `threshold` is not positive.
+    pub fn settle_steps(
+        &mut self,
         initial_state: &[f64],
         threshold: f64,
         k_switch: usize,
@@ -1012,10 +922,16 @@ impl SwitchedDrive<'_> {
         })
     }
 
-    /// The one dwell implementation behind [`SwitchedKernel::dwell_steps`]
-    /// and [`PooledSwitchedKernel::dwell_steps`].
-    fn dwell_steps(
-        self,
+    /// Dwell time (in samples) for a single wait time, with early exit —
+    /// the allocation-free equivalent of the free-function [`dwell_steps`].
+    ///
+    /// # Errors
+    ///
+    /// * As [`SwitchedKernel::settle_steps`].
+    /// * [`ControlError::HorizonExceeded`] if the switched trajectory does
+    ///   not settle within `horizon` samples.
+    pub fn dwell_steps(
+        &mut self,
         initial_state: &[f64],
         threshold: f64,
         wait_steps: usize,
@@ -1029,7 +945,7 @@ impl SwitchedDrive<'_> {
 
     /// The dwell/wait [`sweep`] of this switched pair.
     fn sweep(
-        self,
+        &mut self,
         config: &CharacterizationConfig,
         et_norms: &mut Vec<f64>,
         et_states: &mut Vec<f64>,
@@ -1234,33 +1150,34 @@ impl CharacterizationWorkspace {
         tail_bounds_into(a, plant_order, entry)
     }
 
-    /// A pooled switched kernel over the matrix pair, plus the pooled
-    /// recording buffer for norm trajectories: the borrowed twin of
-    /// [`SwitchedKernel::new`], with the state buffers, the tail-bound
-    /// scratch and the certified Lyapunov matrices coming from the pool. Settling results are bit-identical to
-    /// the owning kernel's.
+    /// The [`SwitchedKernel`] of the matrix pair (`a1` the ET closed loop,
+    /// `a2` the TT closed loop, both over at least `plant_order` states),
+    /// plus the pooled recording buffer for norm trajectories. The state
+    /// buffers, the tail-bound scratch and the certified Lyapunov matrices
+    /// come from the pool.
     ///
     /// # Errors
     ///
-    /// As [`SwitchedKernel::new`].
-    pub fn switched_kernel<'m, 'w>(
-        &'w mut self,
-        a1: &'m Matrix,
-        a2: &'m Matrix,
+    /// Returns [`ControlError::InvalidModel`] if the matrices have different
+    /// shapes, are not square, or `plant_order` exceeds the state dimension.
+    pub fn switched_kernel<'a>(
+        &'a mut self,
+        a1: &'a Matrix,
+        a2: &'a Matrix,
         plant_order: usize,
-    ) -> Result<(PooledSwitchedKernel<'m, 'w>, &'w mut Vec<f64>)> {
+    ) -> Result<(SwitchedKernel<'a>, &'a mut Vec<f64>)> {
         let (kernel, norms, _) = self.switched_parts(a1, a2, plant_order)?;
         Ok((kernel, norms))
     }
 
     /// [`CharacterizationWorkspace::switched_kernel`] plus the pooled
     /// ET-state recording the sweep resumes from.
-    fn switched_parts<'m, 'w>(
-        &'w mut self,
-        a1: &'m Matrix,
-        a2: &'m Matrix,
+    fn switched_parts<'a>(
+        &'a mut self,
+        a1: &'a Matrix,
+        a2: &'a Matrix,
         plant_order: usize,
-    ) -> Result<(PooledSwitchedKernel<'m, 'w>, &'w mut Vec<f64>, &'w mut Vec<f64>)> {
+    ) -> Result<(SwitchedKernel<'a>, &'a mut Vec<f64>, &'a mut Vec<f64>)> {
         validate_pair(a1, a2, plant_order)?;
         let order = a1.cols();
         let CharacterizationWorkspace { states, powers, lyapunov, norms, et_states, .. } = self;
@@ -1269,27 +1186,22 @@ impl CharacterizationWorkspace {
         let lyapunov =
             pool_entry(lyapunov, |entry| entry.et.rows() == order, || LyapunovScratch::new(order));
         let (et, tt) = lyapunov.certify(a1, a2, plant_order, scratch)?;
-        let lyapunov: &'w LyapunovScratch = lyapunov;
+        let lyapunov: &'a LyapunovScratch = lyapunov;
         let state = pool_entry(
             states,
             |entry| entry.z.len() == order,
             || StateScratch { z: vec![0.0; order], z_next: vec![0.0; order] },
         );
-        Ok((
-            PooledSwitchedKernel {
-                a1,
-                a2,
-                plant_order,
-                et,
-                tt,
-                et_p: &lyapunov.et,
-                tt_p: &lyapunov.tt,
-                z: &mut state.z,
-                z_next: &mut state.z_next,
-            },
-            norms,
-            et_states,
-        ))
+        let modes = LinearModes {
+            a1: a1.as_slice(),
+            a2: a2.as_slice(),
+            plant_order,
+            et,
+            tt,
+            et_p: lyapunov.et.as_slice(),
+            tt_p: lyapunov.tt.as_slice(),
+        };
+        Ok((SwitchedKernel { modes, z: &mut state.z, z_next: &mut state.z_next }, norms, et_states))
     }
 
     /// The pooled saturated-sim bundle for the given dimensions (borrowed
@@ -1305,77 +1217,6 @@ impl CharacterizationWorkspace {
             |entry| entry.dims() == (plant_order, inputs),
             || SatBuffers::new(plant_order, inputs),
         )
-    }
-}
-
-/// A [`SwitchedKernel`] whose state buffers and certified Lyapunov matrices
-/// live in a [`CharacterizationWorkspace`] pool: constructed per application
-/// (the matrices and settling bounds are per-design values), but on a warm
-/// pool the construction reuses every simulation buffer, and the settle/dwell
-/// sweeps afterwards are allocation-free — the property the workspace's
-/// counting-allocator test pins.
-#[derive(Debug)]
-pub struct PooledSwitchedKernel<'m, 'w> {
-    a1: &'m Matrix,
-    a2: &'m Matrix,
-    plant_order: usize,
-    et: ExitBounds,
-    tt: ExitBounds,
-    et_p: &'w Matrix,
-    tt_p: &'w Matrix,
-    z: &'w mut Vec<f64>,
-    z_next: &'w mut Vec<f64>,
-}
-
-impl<'m> PooledSwitchedKernel<'m, '_> {
-    /// [`SwitchedKernel::settle_steps`] on the pooled buffers (bit-identical
-    /// results).
-    ///
-    /// # Errors
-    ///
-    /// As [`SwitchedKernel::settle_steps`].
-    pub fn settle_steps(
-        &mut self,
-        initial_state: &[f64],
-        threshold: f64,
-        k_switch: usize,
-        horizon: usize,
-        record: Option<&mut Vec<f64>>,
-    ) -> Result<Option<usize>> {
-        self.drive().settle_steps(initial_state, threshold, k_switch, horizon, record)
-    }
-
-    /// [`SwitchedKernel::dwell_steps`] on the pooled buffers (bit-identical
-    /// results).
-    ///
-    /// # Errors
-    ///
-    /// As [`SwitchedKernel::dwell_steps`].
-    pub fn dwell_steps(
-        &mut self,
-        initial_state: &[f64],
-        threshold: f64,
-        wait_steps: usize,
-        horizon: usize,
-    ) -> Result<usize> {
-        self.drive().dwell_steps(initial_state, threshold, wait_steps, horizon)
-    }
-
-    /// The settle-loop view over the pooled buffers.
-    fn drive(&mut self) -> SwitchedDrive<'_> {
-        SwitchedDrive {
-            modes: LinearModes {
-                a1: self.a1.as_slice(),
-                a2: self.a2.as_slice(),
-                plant_order: self.plant_order,
-                et: self.et,
-                tt: self.tt,
-                et_p: self.et_p.as_slice(),
-                tt_p: self.tt_p.as_slice(),
-            },
-            z: self.z,
-            z_next: self.z_next,
-        }
     }
 }
 
@@ -1479,7 +1320,7 @@ pub fn characterize_dwell_vs_wait_with(
     config.validate()?;
     let (mut kernel, et_norms, et_states) =
         workspace.switched_parts(a1, a2, config.plant_order)?;
-    kernel.drive().sweep(config, et_norms, et_states)
+    kernel.sweep(config, et_norms, et_states)
 }
 
 /// The original full-horizon characterisation: every settling computation
@@ -2029,23 +1870,20 @@ mod tests {
         assert_eq!(ws.power_pool_size(), 1);
         assert_eq!(ws.lyapunov_pool_size(), 1);
 
-        // The pooled kernel handle matches the owning kernel point for point.
-        let mut owning = SwitchedKernel::new(&a1, &a2, config.plant_order).unwrap();
+        // The kernel on the warm pool matches one on a cold pool point for
+        // point.
+        let mut cold_ws = CharacterizationWorkspace::new();
+        let (mut cold, _norms) = cold_ws.switched_kernel(&a1, &a2, config.plant_order).unwrap();
         let (mut kernel, _norms) = ws.switched_kernel(&a1, &a2, config.plant_order).unwrap();
         for wait in [0usize, 5, 50, 200] {
-            let pooled = kernel
+            let warm = kernel
                 .dwell_steps(&config.initial_state, config.threshold, wait, config.horizon)
                 .unwrap();
-            let reference = owning
+            let reference = cold
                 .dwell_steps(&config.initial_state, config.threshold, wait, config.horizon)
                 .unwrap();
-            assert_eq!(pooled, reference, "wait = {wait}");
+            assert_eq!(warm, reference, "wait = {wait}");
         }
-        // Validation mirrors the owning kernel.
-        assert!(kernel.dwell_steps(&[1.0], 0.1, 0, 100).is_err());
-        assert!(kernel.settle_steps(&config.initial_state, -1.0, 0, 100, None).is_err());
-        assert!(ws.switched_kernel(&a1, &Matrix::identity(2), 2).is_err());
-        assert!(ws.switched_kernel(&a1, &a2, 9).is_err());
     }
 
     #[test]
@@ -2290,9 +2128,10 @@ mod tests {
         let (a1, a2) = rig_linear_loops();
         let (mut p, mut pa, mut factor) = certificate_scratch(3);
         let mu = certify_ellipsoid(&a1, 2, &mut p, &mut pa, &mut factor).expect("certified");
-        let kernel = SwitchedKernel::new(&a1, &a2, 2).unwrap();
-        assert_eq!(kernel.et.mu, Some(mu), "the servo's ET loop certifies");
-        assert!(kernel.tt.mu.is_some(), "the servo's TT loop certifies");
+        let mut ws = CharacterizationWorkspace::new();
+        let (kernel, _norms) = ws.switched_kernel(&a1, &a2, 2).unwrap();
+        assert_eq!(kernel.modes.et.mu, Some(mu), "the servo's ET loop certifies");
+        assert!(kernel.modes.tt.mu.is_some(), "the servo's TT loop certifies");
         // Check 1 fails on a shrunk P (P − AᵀPA = 0.4·I), whatever μ is.
         assert_eq!(verify_ellipsoid(&a1, 2, &p.scale(0.4), &mut pa, &mut factor), None);
         // Check 2 rejects a μ below the true λ_max, accepts the certified one.
@@ -2331,16 +2170,17 @@ mod tests {
     fn sweep_reports_a_short_et_recording() {
         let (a1, a2) = rig_linear_loops();
         let config = servo_config();
-        let mut kernel = SwitchedKernel::new(&a1, &a2, config.plant_order).unwrap();
+        let mut ws = CharacterizationWorkspace::new();
+        let (mut kernel, _norms) = ws.switched_kernel(&a1, &a2, config.plant_order).unwrap();
         let (mut norms, mut states) = (Vec::new(), Vec::new());
-        let error = with_linear_sim!(kernel.drive(), |sim| {
+        let error = with_linear_sim!(&mut kernel, |sim| {
             sweep(&mut ForgetfulSim(sim), &config, &mut norms, &mut states)
         })
         .unwrap_err();
         assert!(matches!(error, ControlError::InvalidModel { .. }), "{error}");
         assert!(error.to_string().contains("pure-ET recording"), "{error}");
         // The honest sim on the same buffers returns the full curve.
-        let curve = kernel.drive().sweep(&config, &mut norms, &mut states).unwrap();
+        let curve = kernel.sweep(&config, &mut norms, &mut states).unwrap();
         assert_eq!(curve, characterize_dwell_vs_wait_reference(&a1, &a2, &config).unwrap());
     }
 
@@ -2371,7 +2211,8 @@ mod tests {
     fn switched_kernel_matches_allocating_dwell_steps() {
         let (a1, a2) = rig_linear_loops();
         let config = servo_config();
-        let mut kernel = SwitchedKernel::new(&a1, &a2, config.plant_order).unwrap();
+        let mut ws = CharacterizationWorkspace::new();
+        let (mut kernel, _norms) = ws.switched_kernel(&a1, &a2, config.plant_order).unwrap();
         for wait in [0usize, 5, 50, 200] {
             let fast = kernel
                 .dwell_steps(&config.initial_state, config.threshold, wait, config.horizon)
@@ -2393,12 +2234,13 @@ mod tests {
         assert!(kernel
             .settle_steps(&config.initial_state, -1.0, 0, 100, None)
             .is_err());
-        assert!(SwitchedKernel::new(&a1, &Matrix::identity(2), 2).is_err());
-        assert!(SwitchedKernel::new(&a1, &a2, 9).is_err());
+        let mut ws = CharacterizationWorkspace::new();
+        assert!(ws.switched_kernel(&a1, &Matrix::identity(2), 2).is_err());
+        assert!(ws.switched_kernel(&a1, &a2, 9).is_err());
         // Unstable pair: settle within a short horizon fails like the
         // reference.
         let unstable = Matrix::diagonal(&[1.05]).unwrap();
-        let mut diverging = SwitchedKernel::new(&unstable, &unstable, 1).unwrap();
+        let (mut diverging, _norms) = ws.switched_kernel(&unstable, &unstable, 1).unwrap();
         assert_eq!(diverging.settle_steps(&[1.0], 0.1, 0, 50, None).unwrap(), None);
         assert!(matches!(
             diverging.dwell_steps(&[1.0], 0.1, 0, 50),
@@ -2410,7 +2252,8 @@ mod tests {
     fn switched_kernel_recording_matches_norm_trajectory_prefix() {
         let (a1, a2) = rig_linear_loops();
         let config = servo_config();
-        let mut kernel = SwitchedKernel::new(&a1, &a2, 2).unwrap();
+        let mut ws = CharacterizationWorkspace::new();
+        let (mut kernel, _norms) = ws.switched_kernel(&a1, &a2, 2).unwrap();
         let mut recorded = Vec::new();
         let settle = kernel
             .settle_steps(

@@ -1,12 +1,13 @@
 //! Streaming Monte-Carlo robustness campaigns with statistical settling
 //! guarantees.
 //!
-//! Where [`crate::ScenarioBatch`] materialises one outcome per scenario,
-//! the campaign engine streams: a [`ScenarioSource`] *generates* scenarios
-//! on demand from `(campaign seed, scenario index)`, the workspace's worker
-//! pool runs them on reset-and-rerun [`CoSimulation`] engines, and the
-//! results fold into online per-family aggregates ([`OnlineStats`] moments
-//! plus [`P2Quantile`] sketches) — memory is O(workers · chunk size), never
+//! Where [`crate::ScenarioBatch`] returns one [`RunMetrics`] per listed
+//! scenario, the campaign engine streams: a [`ScenarioSource`] *generates*
+//! scenarios on demand from `(campaign seed, scenario index)`, the
+//! workspace's worker pool runs them on reset-and-rerun [`CoSimulation`]
+//! engines (the batch's pool and run loop), and each run's metrics fold
+//! into online per-family aggregates ([`OnlineStats`] moments plus
+//! [`P2Quantile`] sketches) — memory is O(workers · chunk size), never
 //! O(scenarios), so a million-run campaign needs the same footprint as a
 //! hundred-run one.
 //!
@@ -36,6 +37,7 @@ use crate::cosim::{CoSimulation, DegradationConfig, ModeSwitchStorm, RunMetrics}
 use crate::error::{CoreError, Result};
 use crate::fleet::DesignedFleet;
 use crate::pool::{map_claimed, worker_count};
+use crate::scenario::check_scenario;
 use crate::stats::{clopper_pearson, OnlineStats, P2Quantile};
 use cps_flexray::{FaultModel, GilbertElliott, SimRng};
 use cps_sched::CancelToken;
@@ -449,19 +451,7 @@ fn run_scenario(
             ),
         });
     }
-    if !scenario.disturbance_scale.is_finite() || scenario.disturbance_scale < 0.0 {
-        return Err(CoreError::InvalidConfig {
-            reason: format!(
-                "disturbance scale must be finite and non-negative, got {}",
-                scenario.disturbance_scale
-            ),
-        });
-    }
-    if !scenario.duration.is_finite() || !(scenario.duration > 0.0) {
-        return Err(CoreError::InvalidConfig {
-            reason: format!("duration must be finite and positive, got {}", scenario.duration),
-        });
-    }
+    check_scenario(scenario.disturbance_scale, scenario.duration)?;
     engine.reset()?;
     engine.set_threshold_scale(scenario.threshold_scale)?;
     engine.set_fault_model(scenario.fault)?;

@@ -6,6 +6,12 @@
 //! model of its granted communication mode, and mirrors the resulting
 //! traffic onto a cycle-accurate FlexRay bus to collect realistic latency
 //! and slot-usage statistics.
+//!
+//! One loop runs every co-simulation and folds each period into a
+//! [`RunMetrics`] online (settling, peaks, TT periods, hold and loss
+//! counters). [`CoSimulation::run_metrics_into`] stops there, with the bus
+//! log suspended; [`CoSimulation::run`] also records the trajectory, the
+//! slot occupancy and the bus latencies into a [`CoSimTrace`].
 
 use crate::application::ControlApplication;
 use crate::error::{CoreError, Result};
@@ -161,10 +167,11 @@ impl DegradationConfig {
     }
 }
 
-/// Online, allocation-free summary of one co-simulation run — what the
-/// streaming campaign engine collects instead of materialising a full
-/// [`CoSimTrace`]. Fill it with [`CoSimulation::run_metrics_into`]; on a
-/// warm (same-sized) instance the fill allocates nothing.
+/// Online, allocation-free summary of one co-simulation run: the result of
+/// a scenario run for the streaming campaign and the scenario batch, and
+/// the source of a [`CoSimTrace`]'s per-application verdicts. Fill it with
+/// [`CoSimulation::run_metrics_into`]; on a warm (same-sized) instance the
+/// fill allocates nothing.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct RunMetrics {
     /// Number of sampling periods simulated.
@@ -186,9 +193,6 @@ pub struct RunMetrics {
     pub max_consecutive_losses: Vec<u64>,
     /// Bus counters accumulated over the run.
     pub bus: BusStatistics,
-    /// Online settling candidates (scratch for the streaming settling-time
-    /// computation).
-    candidates: Vec<usize>,
 }
 
 impl RunMetrics {
@@ -238,8 +242,6 @@ impl RunMetrics {
         self.held_periods.resize(app_count, 0);
         self.max_consecutive_losses.clear();
         self.max_consecutive_losses.resize(app_count, 0);
-        self.candidates.clear();
-        self.candidates.resize(app_count, 0);
         self.bus = BusStatistics::default();
     }
 }
@@ -305,6 +307,8 @@ pub struct CoSimulation {
     max_consecutive_losses: Vec<u64>,
     /// Per-app hold-last-command periods since reset.
     held_periods: Vec<u64>,
+    /// Scratch of the run loop: per-app settling candidate.
+    settle_from: Vec<usize>,
 }
 
 impl CoSimulation {
@@ -364,6 +368,7 @@ impl CoSimulation {
             consecutive_losses: vec![0; app_count],
             max_consecutive_losses: vec![0; app_count],
             held_periods: vec![0; app_count],
+            settle_from: vec![0; app_count],
         })
     }
 
@@ -678,61 +683,56 @@ impl CoSimulation {
 
     /// Runs the co-simulation for `duration` seconds and returns the traces.
     ///
+    /// This is [`CoSimulation::run_metrics_into`]'s loop with the bus log
+    /// kept on and every period recorded: each application's verdicts
+    /// (response time, hold and loss counters) are those of the run's
+    /// [`RunMetrics`].
+    ///
     /// # Errors
     ///
-    /// Propagates simulator, runtime and bus errors.
+    /// * [`CoreError::InvalidConfig`] if `duration` is not positive and
+    ///   finite.
+    /// * Propagates simulator, runtime and bus errors.
     pub fn run(&mut self, duration: f64) -> Result<CoSimTrace> {
-        if !(duration > 0.0) {
-            return Err(CoreError::InvalidConfig {
-                reason: format!("duration must be positive, got {duration}"),
-            });
-        }
-        let steps = (duration / self.period).ceil() as usize;
-        let app_count = self.fleet.app_count();
+        let steps = self.step_count(duration)?;
         // Not `vec![Vec::with_capacity(steps); n]`: cloning a Vec drops its
         // capacity, which would leave all but one buffer unsized.
         let mut points: Vec<Vec<TracePoint>> =
-            (0..app_count).map(|_| Vec::with_capacity(steps)).collect();
+            (0..self.fleet.app_count()).map(|_| Vec::with_capacity(steps)).collect();
         let mut occupancy = Vec::with_capacity(steps);
-
-        for step in 0..steps {
-            let time = step as f64 * self.period;
-            self.advance_period(step)?;
-            occupancy.push(self.runtime.slot_holders().to_vec());
-            for (index, mode) in self.modes.iter().enumerate() {
-                points[index].push(TracePoint { time, norm: self.norms[index], mode: *mode });
+        let mut metrics = RunMetrics::default();
+        self.run_loop(steps, &mut metrics, |engine, step| {
+            let time = step as f64 * engine.period;
+            occupancy.push(engine.runtime.slot_holders().to_vec());
+            let samples = engine.norms.iter().zip(&engine.modes);
+            for (series, (&norm, &mode)) in points.iter_mut().zip(samples) {
+                series.push(TracePoint { time, norm, mode });
             }
-        }
+        })?;
 
         let traces = self
             .fleet
             .apps()
             .iter()
-            .enumerate()
             .zip(points)
-            .map(|((index, app), series)| {
-                let threshold = app.spec().threshold * self.threshold_scale;
-                let norms: Vec<f64> = series.iter().map(|p| p.norm).collect();
-                let response_time = cps_control::settling_index(&norms, threshold)
-                    .map(|k| k as f64 * self.period);
-                AppTrace {
-                    name: app.name().to_string(),
-                    points: series,
-                    deadline: app.spec().deadline,
-                    response_time,
-                    held_periods: self.held_periods[index],
-                    max_consecutive_losses: self.max_consecutive_losses[index],
-                }
+            .enumerate()
+            .map(|(index, (app, series))| AppTrace {
+                name: app.name().to_string(),
+                points: series,
+                deadline: app.spec().deadline,
+                response_time: metrics.response_times[index],
+                held_periods: metrics.held_periods[index],
+                max_consecutive_losses: metrics.max_consecutive_losses[index],
             })
             .collect();
-        let bus_latencies = (0..app_count)
+        let bus_latencies = (0..self.fleet.app_count())
             .map(|index| LatencyStats::from_latencies(&self.bus.latencies_of(index as u32 + 1)))
             .collect();
         Ok(CoSimTrace {
             apps: traces,
             slot_occupancy: occupancy,
             period: self.period,
-            bus_statistics: self.bus.statistics(),
+            bus_statistics: metrics.bus,
             bus_latencies,
         })
     }
@@ -740,9 +740,9 @@ impl CoSimulation {
     /// Runs the co-simulation for `duration` seconds, collecting only the
     /// online summary in `metrics` — no trace is materialised, the bus log
     /// is suspended for the duration, and on a warm engine/metrics pair the
-    /// whole run allocates nothing. This is the streaming campaign engine's
-    /// hot path; the trajectory it simulates is bit-identical to
-    /// [`CoSimulation::run`]'s.
+    /// whole run allocates nothing. The campaign and the scenario batch run
+    /// every scenario here; the trajectory it simulates is the one
+    /// [`CoSimulation::run`] records, bit for bit.
     ///
     /// The hold/loss counters reported are those accumulated since the last
     /// [`CoSimulation::reset`] (reset before each scenario to make them
@@ -750,50 +750,52 @@ impl CoSimulation {
     ///
     /// # Errors
     ///
-    /// Propagates simulator, runtime and bus errors (the bus logging flag is
-    /// restored either way).
+    /// * [`CoreError::InvalidConfig`] if `duration` is not positive and
+    ///   finite.
+    /// * Propagates simulator, runtime and bus errors (the bus logging flag
+    ///   is restored either way).
     pub fn run_metrics_into(&mut self, duration: f64, metrics: &mut RunMetrics) -> Result<()> {
-        if !(duration > 0.0) {
+        let steps = self.step_count(duration)?;
+        let logging = self.bus.logging();
+        self.bus.set_logging(false);
+        let outcome = self.run_loop(steps, metrics, |_, _| {});
+        self.bus.set_logging(logging);
+        outcome
+    }
+
+    /// Whole sampling periods covering `duration` seconds.
+    fn step_count(&self, duration: f64) -> Result<usize> {
+        if !(duration > 0.0) || !duration.is_finite() {
             return Err(CoreError::InvalidConfig {
-                reason: format!("duration must be positive, got {duration}"),
+                reason: format!("duration must be positive and finite, got {duration}"),
             });
         }
-        let steps = (duration / self.period).ceil() as usize;
+        Ok((duration / self.period).ceil() as usize)
+    }
+
+    /// The one run loop: advances `steps` periods, folds each period into
+    /// `metrics` online and hands the engine to `record` after it.
+    fn run_loop(
+        &mut self,
+        steps: usize,
+        metrics: &mut RunMetrics,
+        mut record: impl FnMut(&Self, usize),
+    ) -> Result<()> {
         let app_count = self.fleet.app_count();
         metrics.begin(app_count, self.period);
         metrics.steps = steps;
-        let logging = self.bus.logging();
-        self.bus.set_logging(false);
-        let outcome = self.run_metrics_loop(steps, metrics);
-        self.bus.set_logging(logging);
-        outcome?;
-
-        for index in 0..app_count {
-            let app = &self.fleet.apps()[index];
-            // Same semantics as `settling_index`: the candidate is one past
-            // the last threshold violation; a violation in the final period
-            // means the run never settled.
-            let response = (metrics.candidates[index] < steps)
-                .then(|| metrics.candidates[index] as f64 * self.period);
-            metrics.response_times[index] = response;
-            metrics.deadlines_met[index] =
-                response.map(|t| t <= app.spec().deadline).unwrap_or(false);
-            metrics.held_periods[index] = self.held_periods[index];
-            metrics.max_consecutive_losses[index] = self.max_consecutive_losses[index];
-        }
-        metrics.bus = self.bus.statistics();
-        Ok(())
-    }
-
-    fn run_metrics_loop(&mut self, steps: usize, metrics: &mut RunMetrics) -> Result<()> {
+        // Settling candidate per application: one past its last threshold
+        // violation, so a violation in the final period means the run never
+        // settled (the semantics of `cps_control::settling_index`).
+        self.settle_from.fill(0);
         for step in 0..steps {
             self.advance_period(step)?;
-            for index in 0..self.norms.len() {
+            for index in 0..app_count {
                 let norm = self.norms[index];
                 let threshold =
                     self.fleet.apps()[index].spec().threshold * self.threshold_scale;
                 if norm > threshold {
-                    metrics.candidates[index] = step + 1;
+                    self.settle_from[index] = step + 1;
                 }
                 if norm > metrics.peak_norms[index] {
                     metrics.peak_norms[index] = norm;
@@ -802,7 +804,19 @@ impl CoSimulation {
                     metrics.tt_periods[index] += 1;
                 }
             }
+            record(self, step);
         }
+
+        for (index, app) in self.fleet.apps().iter().enumerate() {
+            let response = (self.settle_from[index] < steps)
+                .then(|| self.settle_from[index] as f64 * self.period);
+            metrics.response_times[index] = response;
+            metrics.deadlines_met[index] =
+                response.map(|t| t <= app.spec().deadline).unwrap_or(false);
+            metrics.held_periods[index] = self.held_periods[index];
+            metrics.max_consecutive_losses[index] = self.max_consecutive_losses[index];
+        }
+        metrics.bus = self.bus.statistics();
         Ok(())
     }
 
@@ -978,7 +992,24 @@ mod tests {
             minislot_length: 0.00005,
         };
         if allocation.slot_count() > 1 {
-            assert!(CoSimulation::new(apps, &allocation, tiny_bus).is_err());
+            assert!(CoSimulation::new(apps.clone(), &allocation, tiny_bus).is_err());
+        }
+        // Durations that are not positive and finite, on both entry points.
+        let mut cosim =
+            CoSimulation::new(apps, &allocation, FlexRayConfig::paper_case_study()).unwrap();
+        let mut metrics = RunMetrics::default();
+        for duration in [0.0, -1.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert!(
+                matches!(cosim.run(duration), Err(CoreError::InvalidConfig { .. })),
+                "run({duration}) must be rejected"
+            );
+            assert!(
+                matches!(
+                    cosim.run_metrics_into(duration, &mut metrics),
+                    Err(CoreError::InvalidConfig { .. })
+                ),
+                "run_metrics_into({duration}) must be rejected"
+            );
         }
     }
 }

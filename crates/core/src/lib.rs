@@ -107,5 +107,5 @@ pub use designer::{BudgetedDesign, FleetDesigner};
 pub use error::{CoreError, Result};
 pub use fleet::DesignedFleet;
 pub use runtime::{AllocationRuntime, AppPhase, RuntimeApp};
-pub use scenario::{BusConfigSweep, ScenarioBatch, ScenarioOutcome, ScenarioSpec};
+pub use scenario::{BusConfigSweep, ScenarioBatch, ScenarioSpec};
 pub use stats::{clopper_pearson, OnlineStats, P2Quantile};

@@ -5,23 +5,26 @@
 //! bigger fleet need — all reduce to running *many* co-simulations that
 //! differ only in a few parameters. [`ScenarioBatch`] makes that a
 //! first-class workload: it fans a list of [`ScenarioSpec`]s out over worker
-//! threads, where each worker builds **one** [`CoSimulation`] and then
-//! `reset()`s-and-reruns it per scenario, so the controller design and bus
-//! construction costs are paid once per thread rather than once per
-//! scenario, and every step inside is an allocation-free kernel step.
+//! threads, where each worker builds **one** [`CoSimulation`] and one
+//! [`RunMetrics`] and then `reset()`s-and-reruns the engine per scenario, so
+//! the controller design and bus construction costs are paid once per
+//! thread rather than once per scenario. Each scenario runs through
+//! [`CoSimulation::run_metrics_into`], the loop the robustness campaign
+//! runs: no trace is recorded and every step inside is an allocation-free
+//! kernel step.
 //!
 //! Determinism: each scenario is simulated from a full reset, so its
-//! [`ScenarioOutcome`] depends only on its spec. Workers claim scenarios
-//! one at a time from the crate's work-claiming pool (the fleet designer's
-//! pool too) and results are stored by input index, which makes the output
-//! independent of the worker count — a property the test suite asserts.
+//! [`RunMetrics`] depend only on its spec. Workers claim scenarios one at a
+//! time from the crate's work-claiming pool (the fleet designer's and the
+//! campaign's pool too) and results are stored by input index, which makes
+//! the output independent of the worker count — a property the test suite
+//! asserts.
 
 use crate::application::ControlApplication;
-use crate::cosim::{CoSimTrace, CoSimulation};
+use crate::cosim::{CoSimulation, RunMetrics};
 use crate::error::{CoreError, Result};
 use crate::fleet::DesignedFleet;
 use crate::pool;
-use cps_control::CommunicationMode;
 use cps_flexray::FlexRayConfig;
 use cps_sched::SlotAllocation;
 use std::sync::Arc;
@@ -30,7 +33,7 @@ use std::sync::Arc;
 /// fleet.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioSpec {
-    /// Label carried into the outcome (for reports).
+    /// Label of the scenario (for reports).
     pub label: String,
     /// Factor applied to every application's disturbance (the designed
     /// vectors, or [`ScenarioSpec::disturbances`] when set).
@@ -455,54 +458,6 @@ fn slot_timing_against(baseline_slot_length: f64, bus: &FlexRayConfig) -> cps_sc
         .expect("validated slot lengths yield a finite non-negative overhead")
 }
 
-/// Per-scenario summary returned by the batch engine (the full traces stay
-/// inside the workers; summaries keep the batch output small enough to sweep
-/// thousands of scenarios).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ScenarioOutcome {
-    /// Index of the scenario in the input list.
-    pub index: usize,
-    /// Label copied from the spec.
-    pub label: String,
-    /// `true` if every application met its deadline.
-    pub all_deadlines_met: bool,
-    /// Measured response time per application (None = never settled).
-    pub response_times: Vec<Option<f64>>,
-    /// Peak plant-state norm per application over the run.
-    pub peak_norms: Vec<f64>,
-    /// Number of periods each application spent on TT communication.
-    pub tt_periods: Vec<usize>,
-    /// Static-slot transmissions on the bus over the run.
-    pub static_transmissions: u64,
-    /// Dynamic-segment transmissions on the bus over the run.
-    pub dynamic_transmissions: u64,
-}
-
-impl ScenarioOutcome {
-    fn from_trace(index: usize, label: String, trace: &CoSimTrace) -> Self {
-        ScenarioOutcome {
-            index,
-            label,
-            all_deadlines_met: trace.all_deadlines_met(),
-            response_times: trace.apps.iter().map(|a| a.response_time).collect(),
-            peak_norms: trace
-                .apps
-                .iter()
-                .map(|a| a.points.iter().map(|p| p.norm).fold(0.0, f64::max))
-                .collect(),
-            tt_periods: trace
-                .apps
-                .iter()
-                .map(|a| {
-                    a.points.iter().filter(|p| p.mode == CommunicationMode::TimeTriggered).count()
-                })
-                .collect(),
-            static_transmissions: trace.bus_statistics.static_transmissions,
-            dynamic_transmissions: trace.bus_statistics.dynamic_transmissions,
-        }
-    }
-}
-
 /// The parallel scenario engine: an [`Arc`]-shared [`DesignedFleet`] fanned
 /// out over worker threads. Workers never clone the designed
 /// [`ControlApplication`]s — each one spawns a [`CoSimulation`] holding only
@@ -574,53 +529,62 @@ impl ScenarioBatch {
         self
     }
 
-    /// The worker count a run will actually use for `scenario_count`
-    /// scenarios.
-    pub fn effective_threads(&self, scenario_count: usize) -> usize {
-        pool::worker_count(self.threads, scenario_count)
-    }
-
-    /// Runs every scenario and returns the outcomes in input order.
+    /// Runs every scenario and returns one [`RunMetrics`] per scenario, in
+    /// input order.
     ///
     /// Runs on the crate's work-claiming pool: the calling thread works
     /// beside `threads − 1` scoped threads, and each worker claims one
-    /// scenario at a time. A worker creates one `CoSimulation` over the
-    /// shared design at its first claim and resets it between the
-    /// scenarios it claims. Results are identical for any thread count.
+    /// scenario at a time. A worker creates one `CoSimulation` and one
+    /// `RunMetrics` over the shared design at its first claim, resets the
+    /// engine between the scenarios it claims and runs each through
+    /// [`CoSimulation::run_metrics_into`]. Results are identical for any
+    /// thread count.
     ///
     /// # Errors
     ///
     /// Returns the first simulation error in scenario order (invalid
     /// scenario parameters included), for any thread count; scenarios
     /// claimed once an earlier failure is known are not executed.
-    pub fn run(&self, scenarios: &[ScenarioSpec]) -> Result<Vec<ScenarioOutcome>> {
+    pub fn run(&self, scenarios: &[ScenarioSpec]) -> Result<Vec<RunMetrics>> {
         pool::map_claimed(
             self.threads,
             None,
             scenarios.iter().collect(),
-            || self.fleet.engine(),
-            run_one,
+            || Ok((self.fleet.engine()?, RunMetrics::default())),
+            |(engine, metrics), _, spec| {
+                run_one(engine, spec, metrics)?;
+                Ok(metrics.clone())
+            },
         )
     }
 }
 
-fn run_one(engine: &mut CoSimulation, index: usize, spec: &ScenarioSpec) -> Result<ScenarioOutcome> {
-    if !(spec.disturbance_scale.is_finite()) || spec.disturbance_scale < 0.0 {
+/// The parameter checks every scenario runner makes before it touches its
+/// engine: a finite, non-negative disturbance scale and a finite, positive
+/// duration.
+pub(crate) fn check_scenario(disturbance_scale: f64, duration: f64) -> Result<()> {
+    if !disturbance_scale.is_finite() || disturbance_scale < 0.0 {
         return Err(CoreError::InvalidConfig {
             reason: format!(
-                "{}: disturbance scale must be finite and non-negative, got {}",
-                spec.label, spec.disturbance_scale
+                "disturbance scale must be finite and non-negative, got {disturbance_scale}"
             ),
         });
     }
-    if !spec.duration.is_finite() || !(spec.duration > 0.0) {
+    if !duration.is_finite() || !(duration > 0.0) {
         return Err(CoreError::InvalidConfig {
-            reason: format!(
-                "{}: duration must be finite and positive, got {}",
-                spec.label, spec.duration
-            ),
+            reason: format!("duration must be finite and positive, got {duration}"),
         });
     }
+    Ok(())
+}
+
+/// Runs one scenario on a worker's warm engine, filling `metrics`.
+fn run_one(
+    engine: &mut CoSimulation,
+    spec: &ScenarioSpec,
+    metrics: &mut RunMetrics,
+) -> Result<()> {
+    check_scenario(spec.disturbance_scale, spec.duration)?;
     engine.reset()?;
     // The engine is reused across scenarios, so the bus configuration and
     // slot map must be (re)applied every time: the override if present, else
@@ -634,8 +598,7 @@ fn run_one(engine: &mut CoSimulation, index: usize, spec: &ScenarioSpec) -> Resu
         None => engine.inject_disturbances_scaled(spec.disturbance_scale)?,
         Some(vectors) => engine.inject_disturbance_vectors(vectors, spec.disturbance_scale)?,
     }
-    let trace = engine.run(spec.duration)?;
-    Ok(ScenarioOutcome::from_trace(index, spec.label.clone(), &trace))
+    engine.run_metrics_into(spec.duration, metrics)
 }
 
 #[cfg(test)]
@@ -801,9 +764,8 @@ mod tests {
         let outcomes =
             batch.run(&[ScenarioSpec::nominal(2.0), same_bus, starved_bus]).unwrap();
         assert_eq!(outcomes[0].response_times, outcomes[1].response_times);
-        assert_eq!(outcomes[0].static_transmissions, outcomes[1].static_transmissions);
-        assert_eq!(outcomes[0].dynamic_transmissions, outcomes[1].dynamic_transmissions);
-        assert!(outcomes[2].dynamic_transmissions < outcomes[0].dynamic_transmissions);
+        assert_eq!(outcomes[0].bus, outcomes[1].bus);
+        assert!(outcomes[2].bus.dynamic_transmissions < outcomes[0].bus.dynamic_transmissions);
 
         // An invalid override is rejected, and a later run is unaffected.
         let bad_bus = ScenarioSpec::nominal(1.0)
@@ -891,10 +853,7 @@ mod tests {
         assert_eq!(serial, parallel);
         assert_eq!(serial, oversubscribed);
         assert_eq!(serial.len(), 6);
-        for (index, outcome) in serial.iter().enumerate() {
-            assert_eq!(outcome.index, index);
-            assert_eq!(outcome.response_times.len(), 6);
-        }
+        assert!(serial.iter().all(|metrics| metrics.response_times.len() == 6));
     }
 
     #[test]
@@ -910,8 +869,8 @@ mod tests {
         let mut cosim =
             CoSimulation::new(apps, &allocation, FlexRayConfig::paper_case_study()).unwrap();
         cosim.inject_disturbances().unwrap();
-        let trace = cosim.run(2.0).unwrap();
-        let direct = ScenarioOutcome::from_trace(0, "nominal".to_string(), &trace);
+        let mut direct = RunMetrics::default();
+        cosim.run_metrics_into(2.0, &mut direct).unwrap();
         assert_eq!(outcomes[0], direct);
     }
 
@@ -931,7 +890,5 @@ mod tests {
             ..ScenarioSpec::nominal(1.0)
         };
         assert!(batch.run(std::slice::from_ref(&endless)).is_err());
-        assert_eq!(batch.effective_threads(0), 1);
-        assert!(batch.effective_threads(100) >= 1);
     }
 }

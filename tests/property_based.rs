@@ -341,7 +341,7 @@ proptest! {
         let trace = engine.run(duration).expect("run");
 
         let outcome = &outcomes[0];
-        prop_assert_eq!(outcome.all_deadlines_met, trace.all_deadlines_met());
+        prop_assert_eq!(outcome.all_deadlines_met(), trace.all_deadlines_met());
         let response_times: Vec<Option<f64>> =
             trace.apps.iter().map(|a| a.response_time).collect();
         prop_assert_eq!(&outcome.response_times, &response_times);
@@ -351,20 +351,23 @@ proptest! {
             .map(|a| a.points.iter().map(|p| p.norm).fold(0.0, f64::max))
             .collect();
         prop_assert_eq!(&outcome.peak_norms, &peak_norms);
-        let tt_periods: Vec<usize> = trace
+        let tt_periods: Vec<u64> = trace
             .apps
             .iter()
             .map(|a| {
                 a.points
                     .iter()
                     .filter(|p| p.mode == automotive_cps::control::CommunicationMode::TimeTriggered)
-                    .count()
+                    .count() as u64
             })
             .collect();
         prop_assert_eq!(&outcome.tt_periods, &tt_periods);
-        prop_assert_eq!(outcome.static_transmissions, trace.bus_statistics.static_transmissions);
         prop_assert_eq!(
-            outcome.dynamic_transmissions,
+            outcome.bus.static_transmissions,
+            trace.bus_statistics.static_transmissions
+        );
+        prop_assert_eq!(
+            outcome.bus.dynamic_transmissions,
             trace.bus_statistics.dynamic_transmissions
         );
     }

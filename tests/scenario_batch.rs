@@ -6,7 +6,7 @@
 
 use automotive_cps::control::{settling_index, CommunicationMode};
 use automotive_cps::core::{
-    case_study, CoSimTrace, DesignedFleet, ScenarioBatch, ScenarioOutcome, ScenarioSpec,
+    case_study, CoSimTrace, DesignedFleet, RunMetrics, ScenarioBatch, ScenarioSpec,
 };
 use automotive_cps::flexray::FlexRayConfig;
 use automotive_cps::sched::{allocate_slots, AllocatorConfig, SlotAllocation};
@@ -34,14 +34,14 @@ fn batch_template() -> &'static ScenarioBatch {
 type Reduction = (Vec<Option<f64>>, bool, Vec<f64>, Vec<u64>, u64, u64);
 
 /// What the batch reported for one scenario.
-fn reported(outcome: &ScenarioOutcome) -> Reduction {
+fn reported(metrics: &RunMetrics) -> Reduction {
     (
-        outcome.response_times.clone(),
-        outcome.all_deadlines_met,
-        outcome.peak_norms.clone(),
-        outcome.tt_periods.iter().map(|&n| n as u64).collect(),
-        outcome.static_transmissions,
-        outcome.dynamic_transmissions,
+        metrics.response_times.clone(),
+        metrics.all_deadlines_met(),
+        metrics.peak_norms.clone(),
+        metrics.tt_periods.clone(),
+        metrics.bus.static_transmissions,
+        metrics.bus.dynamic_transmissions,
     )
 }
 
@@ -160,8 +160,7 @@ fn sixty_four_scenarios_are_thread_count_independent() {
     assert_eq!(serial, four, "4-thread results must match the serial run");
     assert_eq!(serial, seven, "7-thread results must match the serial run");
     assert_eq!(serial.len(), scenarios.len());
-    for (index, outcome) in serial.iter().enumerate() {
-        assert_eq!(outcome.index, index, "outcomes must come back in input order");
+    for outcome in &serial {
         assert_eq!(outcome.response_times.len(), 6);
         assert_eq!(outcome.peak_norms.len(), 6);
     }

@@ -5,9 +5,8 @@
 //! * the kernel/runtime period loop — `StepKernel::step`s, norm reads,
 //!   scaled disturbance injections and `AllocationRuntime::step_into` calls;
 //! * the characterisation inner loop — `SwitchedKernel::dwell_steps` sweeps
-//!   on a kernel's own buffers and on the per-worker pooled
-//!   `CharacterizationWorkspace` scratch the fleet designer threads through
-//!   its characterisation passes (where a warm characterisation's
+//!   on the per-worker pooled `CharacterizationWorkspace` scratch the fleet
+//!   designer threads through its characterisation passes (where a warm characterisation's
 //!   allocation count must not depend on its sweep length, on the stack-array
 //!   settle path of the servo and on the pooled-buffer path of an order-7
 //!   pair);
@@ -42,7 +41,6 @@
 
 use automotive_cps::control::{
     characterize_dwell_vs_wait_with, CharacterizationConfig, CharacterizationWorkspace,
-    SwitchedKernel,
 };
 use automotive_cps::core::{case_study, AllocationRuntime, ControlApplication, RuntimeApp};
 use automotive_cps::core::{CoSimulation, DegradationConfig, RunMetrics};
@@ -149,42 +147,18 @@ fn kernel_and_runtime_hot_paths_do_not_allocate() {
     );
 
     // Characterization inner loop: dwell computations over the switched
-    // kernel. Construction (closed loops, power-norm bounds, scratch) may
-    // allocate; the per-wait dwell sweep afterwards must not.
+    // kernel, built on the designer's per-worker pooled
+    // `CharacterizationWorkspace` scratch. A full warm-up characterisation
+    // fills the dimension-keyed pools (and may allocate freely — curve
+    // materialisation, eigenvalue pre-check); afterwards a kernel on the
+    // warm pool runs its entire dwell sweep with zero allocations, and the
+    // pools grow no new entries for an application of known dimensions.
     let servo = &apps[2];
     let a1 = servo.et_controller().closed_loop().clone();
     let a2 = servo.tt_controller().closed_loop().clone();
     let mut initial = servo.spec().disturbance.clone();
     initial.extend(std::iter::repeat(0.0).take(servo.spec().plant.inputs()));
     let threshold = servo.spec().threshold;
-    let mut switched =
-        SwitchedKernel::new(&a1, &a2, servo.spec().plant.order()).expect("switched kernel");
-    // Warm-up pass.
-    switched.dwell_steps(&initial, threshold, 0, 3_000).expect("warm-up dwell");
-
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
-    let mut dwell_sum = 0usize;
-    for wait in 0..400 {
-        dwell_sum += switched
-            .dwell_steps(&initial, threshold, wait, 3_000)
-            .expect("dwell computation");
-    }
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
-
-    assert!(dwell_sum > 0, "the sweep must observe non-trivial dwell times");
-    assert_eq!(
-        after - before,
-        0,
-        "the characterization inner loop performed {} heap allocations over 400 dwell sweeps",
-        after - before
-    );
-
-    // Pooled characterisation scratch: the designer's per-worker
-    // `CharacterizationWorkspace`. A full warm-up characterisation fills the
-    // dimension-keyed pools (and may allocate freely — curve
-    // materialisation, eigenvalue pre-check); afterwards a pooled kernel on
-    // the warm pool runs its entire dwell sweep with zero allocations, and
-    // the pools grow no new entries for an application of known dimensions.
     let mut workspace = CharacterizationWorkspace::new();
     automotive_cps::core::characterize_application_with(servo, &mut workspace)
         .expect("warm-up characterisation");
@@ -206,7 +180,7 @@ fn kernel_and_runtime_hot_paths_do_not_allocate() {
     }
     let after = ALLOCATIONS.load(Ordering::SeqCst);
 
-    assert_eq!(pooled_dwell_sum, dwell_sum, "pooled sweep must be bit-identical");
+    assert!(pooled_dwell_sum > 0, "the sweep must observe non-trivial dwell times");
     assert_eq!(
         after - before,
         0,
