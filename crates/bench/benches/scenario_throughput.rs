@@ -3,16 +3,19 @@
 //! with worker threads.
 //!
 //! Each scenario is a full plant/runtime/FlexRay co-simulation of the
-//! six-application derived fleet with a scaled disturbance. The engine pays
-//! the fleet-design and bus-construction cost once per worker and then
-//! `reset()`s-and-reruns, so throughput is set by the per-period work. The
-//! benchmark's traced `campaign_faulty` replay (seed 1, 2-vCPU Xeon) splits
-//! a 20 ms control period into the FlexRay bus at ~60% (4 cycles of 10
-//! static slots plus the dynamic segment, with frame reassignment and
-//! queueing), the six `StepKernel` steps and norms at ~30% and the
-//! allocation runtime at ~10%. Scenarios are independent, so throughput can
-//! scale with cores; the 2-vCPU container reports an available parallelism
-//! of 2, so thread counts above 2 only demonstrate determinism there.
+//! six-application derived fleet with a scaled disturbance, run through
+//! `CoSimulation::run_metrics_into` like every campaign scenario: no trace
+//! is recorded and the bus log is suspended, and each scenario returns its
+//! `RunMetrics`. The engine pays the fleet-design and bus-construction cost
+//! once per worker and then `reset()`s-and-reruns, so throughput is set by
+//! the per-period work. The benchmark's traced `campaign_faulty` replay
+//! (seed 1, 2-vCPU Xeon) splits a 20 ms control period into the FlexRay bus
+//! at ~60% (4 cycles of 10 static slots plus the dynamic segment, with
+//! frame reassignment and queueing), the six `StepKernel` steps and norms
+//! at ~30% and the allocation runtime at ~10%. Scenarios are independent,
+//! so throughput can scale with cores; on a 2-vCPU host the available
+//! parallelism is 2, so thread counts above 2 only demonstrate determinism
+//! there.
 
 use cps_core::{case_study, ScenarioBatch, ScenarioSpec};
 use cps_flexray::FlexRayConfig;

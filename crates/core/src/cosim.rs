@@ -695,10 +695,11 @@ impl CoSimulation {
     /// * Propagates simulator, runtime and bus errors.
     pub fn run(&mut self, duration: f64) -> Result<CoSimTrace> {
         let steps = self.step_count(duration)?;
+        let app_count = self.fleet.app_count();
         // Not `vec![Vec::with_capacity(steps); n]`: cloning a Vec drops its
         // capacity, which would leave all but one buffer unsized.
         let mut points: Vec<Vec<TracePoint>> =
-            (0..self.fleet.app_count()).map(|_| Vec::with_capacity(steps)).collect();
+            (0..app_count).map(|_| Vec::with_capacity(steps)).collect();
         let mut occupancy = Vec::with_capacity(steps);
         let mut metrics = RunMetrics::default();
         self.run_loop(steps, &mut metrics, |engine, step| {
@@ -725,7 +726,7 @@ impl CoSimulation {
                 max_consecutive_losses: metrics.max_consecutive_losses[index],
             })
             .collect();
-        let bus_latencies = (0..self.fleet.app_count())
+        let bus_latencies = (0..app_count)
             .map(|index| LatencyStats::from_latencies(&self.bus.latencies_of(index as u32 + 1)))
             .collect();
         Ok(CoSimTrace {

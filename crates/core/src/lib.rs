@@ -35,11 +35,13 @@
 //! 7. [`CoSimulation`] — plant/runtime/FlexRay co-simulation reproducing the
 //!    responses of Figure 5, running on allocation-free
 //!    [`cps_control::StepKernel`]s with `reset()`-and-rerun support. It is
-//!    the one per-period engine: every scenario of a [`ScenarioBatch`] and
-//!    a [`RobustnessCampaign`] runs through it.
+//!    the one per-period engine, with one run loop: every scenario of a
+//!    [`ScenarioBatch`] and a [`RobustnessCampaign`] runs through
+//!    [`CoSimulation::run_metrics_into`] into a [`RunMetrics`].
 //! 8. [`ScenarioBatch`] — batched, parallel multi-scenario co-simulation
 //!    for disturbance / threshold / per-app-disturbance / slot-map /
-//!    bus-configuration sweeps, deterministic across thread counts.
+//!    bus-configuration sweeps, one [`RunMetrics`] per scenario,
+//!    deterministic across thread counts.
 //!    [`BusConfigSweep`] spans the full bus design space — cycle length ×
 //!    static-segment size × slot length Ψ (frame payload geometry) — with
 //!    the Ψ-derived per-slot transmission overhead visible to every

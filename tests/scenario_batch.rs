@@ -154,21 +154,20 @@ fn sixty_four_scenarios_are_thread_count_independent() {
     assert!(scenarios.len() >= 64, "got {} scenarios", scenarios.len());
 
     let serial = batch.clone().with_threads(1).run(&scenarios).expect("serial run");
+    assert_eq!(serial.len(), scenarios.len());
+    // Every result, in input order, is what a fresh engine's traced run of
+    // that spec reduces to.
+    for (index, (outcome, spec)) in serial.iter().zip(&scenarios).enumerate() {
+        assert_eq!(reported(outcome), traced(&batch, spec), "scenario {index} ({})", spec.label);
+    }
+
     let four = batch.clone().with_threads(4).run(&scenarios).expect("4-thread run");
     let seven = batch.clone().with_threads(7).run(&scenarios).expect("7-thread run");
-
     assert_eq!(serial, four, "4-thread results must match the serial run");
     assert_eq!(serial, seven, "7-thread results must match the serial run");
-    assert_eq!(serial.len(), scenarios.len());
     for outcome in &serial {
         assert_eq!(outcome.response_times.len(), 6);
         assert_eq!(outcome.peak_norms.len(), 6);
-    }
-
-    // Every result is what a fresh engine's traced run of that spec reduces
-    // to.
-    for (index, (outcome, spec)) in serial.iter().zip(&scenarios).enumerate() {
-        assert_eq!(reported(outcome), traced(&batch, spec), "scenario {index} ({})", spec.label);
     }
     let last = serial.len() - 1;
     assert_ne!(
